@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .discrete_walk import (
     WatermelonPath,
@@ -125,16 +126,22 @@ def _open_out(path):
 # subcommands
 
 
+def _print_count(value):
+    # str(int) refuses more than 4300 digits by default; an int converts
+    # to Decimal exactly and without that cap, and prints every digit
+    print(Decimal(value))
+
+
 def _cmd_count(args):
     if (args.n is None) == (args.m is None):
         raise ValueError("count needs exactly one of --n (watermelons) or --m/--e (stars)")
     if args.n is not None:
-        print(count_watermelons(args.p, args.n, args.wall))
+        _print_count(count_watermelons(args.p, args.n, args.wall))
         return 0
     if args.e is None:
         raise ValueError("star counting needs --e with the endpoint heights")
     q = StarQuery(args.p, args.m, tuple(_parse_ints(args.e)), args.wall)
-    print(count_stars(q))
+    _print_count(count_stars(q))
     return 0
 
 

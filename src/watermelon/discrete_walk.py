@@ -200,6 +200,8 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
 
     eps_all = np.array(_moves(p), dtype=np.int64)  # (2^p, p)
     nmask = 1 << p
+    # step_weights' factor after each move, as f = (M - eps*e)/2 + offset
+    offset = np.where(eps_all == 1, float(p), float(p + 1 if wall else 1))
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
 
     snaps = np.empty((replicas, len(ks), p), dtype=np.int64)
@@ -212,37 +214,35 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         b = hi - lo
-        u = np.empty((b, two_n), dtype=np.int64)
+        u = np.empty((b, two_n))
         for r in range(lo, hi):
             u[r - lo] = derive_replica_rng(base_seed, r).integers(
                 0, _U_DEN, size=two_n, dtype=np.int64
             )
+        u /= _U_DEN
         x = np.tile(start, (b, 1))
         if 0 in k_slot:
             snaps[lo:hi, k_slot[0]] = x
         if collect_paths:
             paths[lo:hi, 0] = x
-        w = np.empty((b, nmask))
         for k in range(two_n):
             M = two_n - k - 1
-            for mask in range(nmask):
-                e = x + eps_all[mask]
-                wm = np.ones(b)
-                for i in range(p):
-                    if (mask >> i) & 1:
-                        f = (M - e[:, i]) * 0.5 + p
-                    else:
-                        f = (M + e[:, i]) * 0.5 + (p + 1 if wall else 1)
-                    wm *= np.maximum(f, 0.0)
-                    if wall:
-                        wm *= e[:, i] + 1
-                for i, j in pairs:
-                    wm *= e[:, j] - e[:, i]
-                    if wall:
-                        wm *= e[:, j] + e[:, i] + 2
-                w[:, mask] = wm
+            # all 2^p candidate endpoints at once, shape (b, 2^p, p); the
+            # factors multiply one at a time in the order of step_weights,
+            # which fixes every float weight bit for bit
+            e = x[:, None, :] + eps_all
+            f = np.maximum((M - eps_all * e) * 0.5 + offset, 0.0)
+            w = np.ones((b, nmask))
+            for i in range(p):
+                w *= f[:, :, i]
+                if wall:
+                    w *= e[:, :, i] + 1
+            for i, j in pairs:
+                w *= e[:, :, j] - e[:, :, i]
+                if wall:
+                    w *= e[:, :, j] + e[:, :, i] + 2
             cum = np.cumsum(w, axis=1)
-            target = (u[:, k].astype(np.float64) / _U_DEN) * cum[:, -1]
+            target = u[:, k] * cum[:, -1]
             j = np.sum(cum < target[:, None], axis=1)
             x = x + eps_all[j]
             if k + 1 in k_slot:

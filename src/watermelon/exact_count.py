@@ -7,9 +7,11 @@ stay nonnegative.  A watermelon of length 2n is a star of length 2n whose
 endpoints return to the starting heights (0, 2, ..., 2p-2).
 
 Counts are evaluated through closed product/factorial formulas using
-integer arithmetic only, so they are exact for any size.  A brute-force
-path enumerator over the full 2^(p*m) step space serves as the
-independent oracle on small instances.  The exact one-step conditional
+integer arithmetic only, so they are exact for any size.  The independent
+oracle on small instances is a census by transfer: it advances the
+number of admissible prefixes ending at each configuration one time step
+at a time over all 2^p sign vectors, sharing nothing with the closed
+forms except the admissibility predicate.  The exact one-step conditional
 probability of a uniformly random watermelon is the ratio of two star
 counts; it is returned as an exact rational.
 """
@@ -21,11 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-#: bound on p*m for the brute-force enumerator (raw search space is 2^(p*m))
+#: bound on p*m for the census oracle, which is kept to small instances
 BRUTE_FORCE_BUDGET = 24
-
-#: star length above which the floating count path is preferred by samplers
-FLOAT_SWITCHOVER_LENGTH = 4096
 
 
 class BruteForceBudgetError(ValueError):
@@ -152,63 +151,54 @@ def count_watermelons(p: int, n: int, wall: bool) -> int:
     return count_stars(StarQuery(p, 2 * n, watermelon_start(p), wall))
 
 
+def _in_chamber(e: tuple[int, ...], wall: bool) -> bool:
+    """The admissibility predicate: strictly increasing, nonnegative with a wall."""
+    if wall and e[0] < 0:
+        return False
+    return all(lo < hi for lo, hi in zip(e, e[1:]))
+
+
 def _count_or_zero(p: int, m: int, e: tuple[int, ...], wall: bool) -> int:
     """Star count extended by 0 to endpoint tuples violating the chamber."""
-    for lo, hi in zip(e, e[1:]):
-        if lo >= hi:
-            return 0
-    if wall and e[0] < 0:
+    if not _in_chamber(e, wall):
         return 0
     return count_stars(StarQuery(p, m, e, wall))
 
 
 # ---------------------------------------------------------------------------
-# brute force oracle
+# census oracle
 
 
 def _enumerate_endpoint_counts(p, m, wall):
-    """Depth-first enumeration of every admissible star of length m.
+    """Census of every admissible star of length m, one time step at a time.
 
-    Walks the full tree of step assignments (2^p sign choices per time
-    step), pruning branches as soon as two paths touch or the wall is
-    violated, and tallies the endpoint configuration of every surviving
-    leaf.  Returns a dict mapping endpoint tuples to exact counts.
+    A layer maps each configuration reachable at time k to its number of
+    admissible k-step prefixes.  Each layer is advanced by all 2^p sign
+    vectors, dropping moves that leave the chamber, so after m layers it
+    maps every endpoint tuple to its exact star count.
     """
-    moves = []
-    for mask in range(1 << p):
-        moves.append(tuple(1 if mask & (1 << i) else -1 for i in range(p)))
-    counts: dict[tuple[int, ...], int] = {}
-    start = watermelon_start(p)
-
-    def descend(pos, depth):
-        if depth == m:
-            counts[pos] = counts.get(pos, 0) + 1
-            return
-        for mv in moves:
-            nxt = tuple(x + s for x, s in zip(pos, mv))
-            if wall and nxt[0] < 0:
-                continue
-            ok = True
-            for a, b in zip(nxt, nxt[1:]):
-                if a >= b:
-                    ok = False
-                    break
-            if ok:
-                descend(nxt, depth + 1)
-
-    descend(start, 0)
-    return counts
+    moves = [tuple(1 if mask & (1 << i) else -1 for i in range(p)) for mask in range(1 << p)]
+    layer = {watermelon_start(p): 1}
+    for _ in range(m):
+        nxt_layer: dict[tuple[int, ...], int] = {}
+        for pos, ways in layer.items():
+            for mv in moves:
+                nxt = tuple(x + s for x, s in zip(pos, mv))
+                if _in_chamber(nxt, wall):
+                    nxt_layer[nxt] = nxt_layer.get(nxt, 0) + ways
+        layer = nxt_layer
+    return layer
 
 
 _enumerate_endpoint_counts = lru_cache(maxsize=64)(_enumerate_endpoint_counts)
 
 
 def enumerate_brute_force(q: StarQuery) -> int:
-    """Count stars by exhaustive enumeration; the test oracle.
+    """Count stars by the transfer census; the test oracle.
 
     Independent of the closed forms: nothing is shared with them except
-    the admissibility predicate.  Rejects queries whose raw search space
-    2^(p*m) exceeds the budget.
+    the admissibility predicate.  Rejects queries with p*m above the
+    budget.
     """
     if q.p * q.m > BRUTE_FORCE_BUDGET:
         raise BruteForceBudgetError(
@@ -225,10 +215,7 @@ def is_valid_cross_section(p, n, k, x, wall) -> bool:
     """True when x can be the time-k cross-section of some (p,2n)-watermelon."""
     if not (0 <= k <= 2 * n) or len(x) != p:
         return False
-    for lo, hi in zip(x, x[1:]):
-        if lo >= hi:
-            return False
-    if wall and x[0] < 0:
+    if not _in_chamber(tuple(x), wall):
         return False
     for i, xi in enumerate(x):
         if (xi - k - 2 * i) % 2 != 0:

@@ -434,6 +434,7 @@ _SOURCE_REPLICAS = 10_000
 _SOURCE_TIMES = (0.25, 0.5, 0.75)
 _DISCRETE_K_INDICES = (1024, 2048, 3072)
 _SDE_RECORD_TIMES = (0.25, 0.35, 0.5, 0.65, 0.75)
+_SDE_DT = 1e-4
 
 
 def _source_seed(kind, p, wall, base_seed, dt=None):
@@ -453,8 +454,12 @@ def _discrete_source(p, wall, base_seed):
 
 
 @lru_cache(maxsize=None)
-def _sde_source(p, wall, base_seed, dt=1e-4):
-    """Euler snapshots at the five shared record times, shape (N, 5, p)."""
+def _sde_source(p, wall, base_seed, dt, /):
+    """Euler snapshots at the five shared record times, shape (N, 5, p).
+
+    Every argument is required and positional-only, so each source has
+    exactly one cache key and is computed once per process.
+    """
     seed = _source_seed("sde", p, wall, base_seed, dt=dt)
     cfg = SdeConfig(p=p, wall=wall, dt=dt, seed=seed)
     return simulate_batch(cfg, _SOURCE_REPLICAS, _SDE_RECORD_TIMES)
@@ -712,7 +717,7 @@ def _check_norm_law_discrete(params, base_seed, tolerance):
 def _check_norm_law_sde(params, base_seed, tolerance):
     p = int(params["p"])
     wall = bool(params["wall"])
-    snaps = _sde_source(p, wall, base_seed)
+    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     n_obs = snaps.shape[0]
     thr = (
         KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
@@ -720,7 +725,7 @@ def _check_norm_law_sde(params, base_seed, tolerance):
         else float(tolerance)
     )
     d = p * (2 * p + 1) if wall else p * p
-    seed = _source_seed("sde", p, wall, base_seed, dt=1e-4)
+    seed = _source_seed("sde", p, wall, base_seed, dt=_SDE_DT)
     out = []
     for t in _SOURCE_TIMES:
         vals = snaps[:, _SDE_RECORD_TIMES.index(t), :]
@@ -783,8 +788,8 @@ def _check_moment_mc(params, base_seed, tolerance):
         seed = _source_seed("discrete", 2, wall, base_seed)
         short = "discrete"
     elif source == "sde_sim":
-        vals = _sde_source(2, wall, base_seed)[:, _SDE_RECORD_TIMES.index(0.5), :]
-        seed = _source_seed("sde", 2, wall, base_seed, dt=1e-4)
+        vals = _sde_source(2, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
+        seed = _source_seed("sde", 2, wall, base_seed, dt=_SDE_DT)
         short = "sde"
     else:
         raise ValueError(f"unknown moment source {source!r}")
@@ -844,7 +849,7 @@ def _check_symmetric_poly_mc(params, base_seed, tolerance):
 def _check_sde_invariants(params, base_seed, tolerance):
     p = int(params["p"])
     wall = bool(params["wall"])
-    snaps = _sde_source(p, wall, base_seed)
+    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     bad = int(np.count_nonzero(~np.isfinite(snaps)))
     bad += int(np.count_nonzero(np.diff(snaps, axis=2) <= 0.0))
     if wall:
@@ -855,7 +860,7 @@ def _check_sde_invariants(params, base_seed, tolerance):
             float(bad),
             0.5,
             snaps.shape[0] * snaps.shape[1],
-            _source_seed("sde", p, wall, base_seed, dt=1e-4),
+            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT),
             detail=(
                 "strict branch ordering (and wall positivity) at the five "
                 "recorded times; every accepted integrator step also keeps "
@@ -870,8 +875,8 @@ def _check_sde_step_halving(params, base_seed, tolerance):
     wall = bool(params.get("wall", True))
     thr = 2.0 if tolerance is None else float(tolerance)
     mid = _SDE_RECORD_TIMES.index(0.5)
-    base = _sde_source(p, wall, base_seed, dt=1e-4)[:, mid, :]
-    fine = _sde_source(p, wall, base_seed, dt=5e-5)[:, mid, :]
+    base = _sde_source(p, wall, base_seed, _SDE_DT)[:, mid, :]
+    fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, mid, :]
     yb = np.sum(base * base, axis=1)
     yf = np.sum(fine * fine, axis=1)
     mb, sb = empirical_moment(yb, 1)
@@ -883,7 +888,7 @@ def _check_sde_step_halving(params, base_seed, tolerance):
             z,
             thr,
             yb.size + yf.size,
-            _source_seed("sde", p, wall, base_seed, dt=5e-5),
+            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT / 2),
             detail=(
                 "mean |X(1/2)|^2 at dt 1e-4 vs 5e-5 in combined-error units; "
                 "with independent streams |z| <= 2 is the sharpest stable "
@@ -896,7 +901,7 @@ def _check_sde_step_halving(params, base_seed, tolerance):
 def _check_sde_time_symmetry(params, base_seed, tolerance):
     p = int(params.get("p", 2))
     wall = bool(params.get("wall", True))
-    snaps = _sde_source(p, wall, base_seed)
+    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     half = snaps.shape[0] // 2
     a = snaps[:half, _SDE_RECORD_TIMES.index(0.35), :]
     b = snaps[half:, _SDE_RECORD_TIMES.index(0.65), :]
@@ -914,7 +919,7 @@ def _check_sde_time_symmetry(params, base_seed, tolerance):
             worst,
             thr,
             a.shape[0] + b.shape[0],
-            _source_seed("sde", p, wall, base_seed, dt=1e-4),
+            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT),
             detail=(
                 "two-sample KS of X(0.35) vs X(0.65) per branch on disjoint "
                 "replica halves; the law is symmetric about t = 1/2"

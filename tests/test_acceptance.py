@@ -18,6 +18,8 @@ from watermelon.stats_verify import (
     run_suite,
 )
 
+pytestmark = pytest.mark.slow
+
 KS_05 = KS_SERIES_COEFF[0.05] / math.sqrt(10_000)
 
 

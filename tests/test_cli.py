@@ -51,6 +51,18 @@ def test_count_stars_endpoints(capsys):
     assert out.strip() == str(count_stars(StarQuery(2, 2, (0, 2), False)))
 
 
+def test_count_prints_past_the_int_str_digit_limit(capsys):
+    # str(int) refuses more than 4300 digits by default
+    code, out, err = run_cli(capsys, "count", "--p", "3", "--n", "2400", "--wall")
+    assert code == 0, err
+    digits = out.strip()
+    assert digits.isascii() and digits.isdigit()
+    assert len(digits) > 4300
+    value = count_watermelons(3, 2400, True)
+    assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+    assert digits[-60:] == f"{value % 10**60:060d}"
+
+
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "--p", "1", "--n", "2", "--m", "2")
     assert code == 2

@@ -5,6 +5,7 @@ The sampler's integer weight tables must normalize to those Fractions
 exactly, which reduces sampler correctness to the inverse-CDF mechanics.
 """
 
+import hashlib
 import io
 import math
 import random
@@ -220,6 +221,38 @@ def test_float_mode_agrees_with_exact_at_2048():
     batch = sample_path_batch(2, 2048, True, 7, 1)
     exact = sample_watermelon(2, 2048, True, 7)
     assert np.array_equal(batch[0], exact.positions)
+
+
+# sha256 of repr(shape) followed by the little-endian int64 bytes.  These
+# pin the chain sampler's output exactly: replica streams, move indexing,
+# weights and the selection rule.  A float weight that moved by an ulp
+# would flip a draw only about once in 2^52, so the weights themselves
+# are pinned by keeping the factor order of step_weights, not by this.
+GOLDEN_MARGINALS = {
+    (1, False): "f118354491727f46db8fd05560c94b4d33854a6f17a0eaf2980e49ae1edc46b4",
+    (1, True): "55f734a002a1870cb30ed9d01f8d75f46a674aeeb2a55a550be967dbc41b6f39",
+    (2, False): "e5a61fa54948d8a924df53aab3b77ef51a81785bdfce6a5ac530da2775df9a7f",
+    (2, True): "1fd361a0dd3afb8ee2aa91fb8879a29b96453b5c68b2a42c9612aca8c27ec8c9",
+    (3, False): "472d03fcb66db3ed75f7af685740759d21d8a1d3cad88237362d07c82887680c",
+    (3, True): "34bb233b20309cf4aa5f2d55b17bae0c089f96dbcda10e57bb304308e0656d59",
+}
+GOLDEN_PATHS = "2867e37306418254eca154ded33aa4c638cb00ef7a91a2bcacee455cb95c30e6"
+
+
+def array_digest(a):
+    a = np.ascontiguousarray(a, dtype="<i8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p,wall", sorted(GOLDEN_MARGINALS))
+def test_marginal_batch_golden_bytes(p, wall):
+    n = 64
+    snaps = sample_marginal_batch(p, n, wall, 20260824 + p, 37, (0, 1, n, 2 * n), chunk=16)
+    assert array_digest(snaps) == GOLDEN_MARGINALS[(p, wall)]
+
+
+def test_path_batch_golden_bytes():
+    assert array_digest(sample_path_batch(3, 40, True, 7, 5, chunk=2)) == GOLDEN_PATHS
 
 
 # ---------------------------------------------------------------------------

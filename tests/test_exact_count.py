@@ -1,10 +1,13 @@
 """Tests for exact star/watermelon counting and step probabilities.
 
-The brute-force enumerator is the oracle throughout: closed forms are
-checked against it on exhaustive sweeps, and every frozen example value
-below was produced by it (or is small enough to check by hand).
+The census (enumerate_brute_force) is the oracle throughout: closed forms
+are checked against it on exhaustive sweeps, and every frozen example
+value below was produced by it (or is small enough to check by hand).
+The census itself is checked against a plain enumeration of every sign
+sequence.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -128,6 +131,34 @@ def test_closed_form_matches_brute_force_sweep(p, wall):
         for e in admissible_endpoints(p, m, wall):
             q = StarQuery(p, m, e, wall)
             assert count_stars(q) == enumerate_brute_force(q), (p, m, e, wall)
+
+
+def sign_sequence_tally(p, m, wall):
+    """Endpoint tallies from walking all 2^(p*m) sign sequences one by one."""
+    moves = list(itertools.product((-1, 1), repeat=p))
+    tally = {}
+    for seq in itertools.product(moves, repeat=m):
+        pos = watermelon_start(p)
+        for eps in seq:
+            pos = tuple(x + s for x, s in zip(pos, eps))
+            if (wall and pos[0] < 0) or any(a >= b for a, b in zip(pos, pos[1:])):
+                break
+        else:
+            tally[pos] = tally.get(pos, 0) + 1
+    return tally
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_census_matches_sign_sequence_enumeration(p, wall):
+    # every length with p*m <= 12, so at most 4096 sequences per case
+    for m in range(0, 12 // p + 1):
+        tally = sign_sequence_tally(p, m, wall)
+        assert tally, (p, m, wall)
+        for e in admissible_endpoints(p, m, wall):
+            got = enumerate_brute_force(StarQuery(p, m, e, wall))
+            assert got == tally.get(e, 0), (p, m, e, wall)
+        assert set(tally) <= set(admissible_endpoints(p, m, wall))
 
 
 @pytest.mark.parametrize("wall", [True, False])

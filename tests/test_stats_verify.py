@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from watermelon import stats_verify
 from watermelon.stats_verify import (
     KS_SERIES_COEFF,
     CheckRecord,
@@ -317,3 +318,26 @@ def test_run_suite_empty_plan_passes_vacuously():
     report = run_suite(plan=[])
     assert report.records == ()
     assert report.verdict is True
+
+
+def test_sde_source_computed_once_per_key(monkeypatch):
+    # the step-halving check and the other SDE checks share the dt = 1e-4
+    # source; the stub counts computations instead of integrating
+    calls = []
+
+    def counting_batch(cfg, replicas, record_times):
+        calls.append((cfg.p, cfg.wall, cfg.dt))
+        rng = np.random.default_rng(len(calls))
+        raw = np.abs(rng.standard_normal((64, len(record_times), cfg.p))) + 0.1
+        return np.cumsum(raw, axis=2)
+
+    monkeypatch.setattr(stats_verify, "simulate_batch", counting_batch)
+    plan = [
+        {"check": "sde_step_halving", "params": {"p": 2, "wall": True}},
+        {"check": "norm_law_sde", "params": {"p": 2, "wall": True}},
+        {"check": "sde_invariants", "params": {"p": 2, "wall": True}},
+        {"check": "sde_time_symmetry", "params": {"p": 2, "wall": True}},
+    ]
+    # a base seed of its own keeps the stubbed sources out of other tests
+    run_suite(plan=plan, base_seed=-4242)
+    assert sorted(calls) == [(2, True, 5e-5), (2, True, 1e-4)]
