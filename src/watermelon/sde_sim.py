@@ -122,28 +122,48 @@ class Trajectory:
         return int(self.values.shape[1])
 
 
-def _pair_mask(p: int) -> np.ndarray:
-    m = np.ones((p, p), dtype=bool)
-    np.fill_diagonal(m, False)
-    return m
-
-
 def _drift_rows(p: int, wall: bool, t: float, x: np.ndarray) -> np.ndarray:
-    """Drift for a (b, p) block of valid states; no validation."""
-    out = -x / (1.0 - t)
+    """Drift for a (p, b) block of valid states, one row per branch; no validation.
+
+    Row i is (-x_i/(1-t) [+ 1/x_i]) + S_i.  S_i adds the pair terms
+    1/(x_i - x_j), or 2x_i/(x_i^2 - x_j^2) with a wall, over j != i strictly
+    from left to right, starting from the first term.  Each pair is visited
+    once: the term of j on i is minus the term of i on j, or shares its
+    denominator with a wall.
+
+    The order is pinned because float addition is not associative.  It is
+    the order in which numpy's sum over the last axis of a (b, p, p) block of
+    pair terms, with the diagonal masked to 0.0, adds a row shorter than
+    eight, so trajectories stay bit-for-bit those of that formulation for
+    p <= 7.  From p = 8 on numpy sums such a row in unrolled pairwise order,
+    so there the drift may differ from it in the last bits.
+    """
+    out = x / (t - 1.0)  # t - 1 is exactly -(1 - t), so this is -x/(1-t) bit for bit
     if wall:
-        out = out + 1.0 / x
+        out += 1.0 / x
     if p == 1:
         return out
-    mask = _pair_mask(p)
     if wall:
-        diff = x[:, :, None] ** 2 - x[:, None, :] ** 2
-        np.einsum("bii->bi", diff)[...] = 1.0
-        out = out + np.sum(np.where(mask, 2.0 * x[:, :, None] / diff, 0.0), axis=2)
-    else:
-        diff = x[:, :, None] - x[:, None, :]
-        np.einsum("bii->bi", diff)[...] = 1.0
-        out = out + np.sum(np.where(mask, 1.0 / diff, 0.0), axis=2)
+        num = 2.0 * x
+        sq = x * x
+    s = np.empty_like(x)
+    for i in range(p - 1):
+        for j in range(i + 1, p):
+            if wall:
+                d = sq[i] - sq[j]
+                a = num[i] / d
+                c = num[j] / d
+            else:
+                a = c = 1.0 / (x[i] - x[j])
+            if j == 1:
+                s[0] = a
+            else:
+                s[i] += a
+            if i == 0:
+                np.negative(c, out=s[j])
+            else:
+                s[j] -= c
+    out += s
     return out
 
 
@@ -162,30 +182,39 @@ def drift_wall(p: int, t: float, x) -> np.ndarray:
     """Drift of the wall ensemble: pinning, wall repulsion, pair repulsion."""
     x = np.asarray(x, dtype=np.float64)
     _check_drift_point(p, True, t, x)
-    return _drift_rows(p, True, t, x[None, :])[0]
+    return _drift_rows(p, True, t, x[:, None])[:, 0]
 
 
 def drift_nowall(p: int, t: float, x) -> np.ndarray:
     """Drift of the free ensemble: pinning plus inverse-distance repulsion."""
     x = np.asarray(x, dtype=np.float64)
     _check_drift_point(p, False, t, x)
-    return _drift_rows(p, False, t, x[None, :])[0]
+    return _drift_rows(p, False, t, x[:, None])[:, 0]
 
 
-def _margin_rows(p: int, wall: bool, x: np.ndarray) -> np.ndarray:
-    """Smallest ordering margin per row: min gap, and height when walled."""
-    if p == 1:
-        m = np.full(x.shape[0], np.inf)
-    else:
-        m = np.min(np.diff(x, axis=1), axis=1)
+def _margin_rows(p: int, wall: bool, y: np.ndarray):
+    """Smallest ordering margin per column of a (p, b) block.
+
+    The margin is the smallest gap, and the lowest height with a wall; None
+    when nothing can break (p = 1 without a wall).
+    """
+    m = y[1] - y[0] if p > 1 else None
+    for i in range(2, p):
+        np.minimum(m, y[i] - y[i - 1], out=m)
     if wall:
-        m = np.minimum(m, x[:, 0])
+        m = y[0] if m is None else np.minimum(m, y[0], out=m)
     return m
 
 
+def _inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """Standard normals from 53-bit integers held as floats, in place."""
+    u += 0.5
+    u /= _U_DEN
+    return ndtri(u, out=u)
+
+
 def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.integers(0, 1 << _U_BITS, size=shape).astype(np.float64)
-    return ndtri((u + 0.5) / _U_DEN)
+    return _inverse_cdf(rng.integers(0, 1 << _U_BITS, size=shape).astype(np.float64))
 
 
 def _base_rng(seed: int, replica: int) -> np.random.Generator:
@@ -205,11 +234,13 @@ def _advance_scalar(
     depth: int,
 ) -> np.ndarray:
     """One rescued step of size h from time s, splitting further on rejection."""
-    y = x + _drift_rows(cfg.p, cfg.wall, s, x[None, :])[0] * h + math.sqrt(h) * _normals(rng, cfg.p)
-    if _margin_rows(cfg.p, cfg.wall, y[None, :])[0] >= cfg.gap_floor:
+    drift = _drift_rows(cfg.p, cfg.wall, s, x[:, None])[:, 0]
+    y = x + drift * h + math.sqrt(h) * _normals(rng, cfg.p)
+    m = _margin_rows(cfg.p, cfg.wall, y[:, None])
+    if m is None or m[0] >= cfg.gap_floor:
         return y
     if depth >= cfg.max_halvings:
-        raise HalvingError(s, x, float(_margin_rows(cfg.p, cfg.wall, y[None, :])[0]))
+        raise HalvingError(s, x, float(m[0]))
     mid = _advance_scalar(cfg, x, s, 0.5 * h, rng, depth + 1)
     return _advance_scalar(cfg, mid, s + 0.5 * h, 0.5 * h, rng, depth + 1)
 
@@ -266,8 +297,9 @@ def _integrate(
     if collect_full and replicas * len(times) * cfg.p > 4_000_000:
         raise ValueError("full-path collection is only supported for small batches")
 
-    snaps = np.empty((replicas, len(rec_slot), cfg.p))
-    full = np.empty((replicas, len(times), cfg.p)) if collect_full else None
+    p, wall, floor = cfg.p, cfg.wall, cfg.gap_floor
+    snaps = np.empty((replicas, len(rec_slot), p))
+    full = np.empty((replicas, len(times), p)) if collect_full else None
     n_rescued = 0
 
     x0 = _initial_state(cfg, replicas)
@@ -275,39 +307,50 @@ def _integrate(
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         b = hi - lo
-        x = x0[lo:hi].copy()
+        # states are held as (p, b), one row per branch, so that every
+        # branch is a contiguous vector
+        x = x0[lo:hi].T.copy()
         # the exact initial draw can in principle sit closer to the boundary
         # than gap_floor; it is still a valid chamber point, and the first
         # accepted step is required to clear the floor
         if collect_full:
-            full[lo:hi, 0] = x
+            full[lo:hi, 0] = x.T
         if 0 in rec_slot:
-            snaps[lo:hi, rec_slot[0]] = x
+            snaps[lo:hi, rec_slot[0]] = x.T
         rescues = [None] * b
         base = [_base_rng(cfg.seed, r) for r in range(lo, hi)]
         for k0 in range(0, n_steps, block):
             k1 = min(k0 + block, n_steps)
-            g = np.empty((b, k1 - k0, cfg.p))
+            ts = times[k0:k1 + 1].tolist()
+            # one draw per replica and block, turned into sqrt(h)-scaled
+            # increments in one pass; g[:, k - k0] is the (p, b) increment
+            g = np.empty((p, k1 - k0, b))
             for i in range(b):
-                g[i] = _normals(base[i], (k1 - k0, cfg.p))
+                g[:, :, i] = base[i].integers(0, 1 << _U_BITS, size=(k1 - k0, p)).T
+            _inverse_cdf(g)
+            g *= np.sqrt(np.diff(ts))[:, None]
             for k in range(k0, k1):
-                t = float(times[k])
-                h = float(times[k + 1] - times[k])
-                y = x + _drift_rows(cfg.p, cfg.wall, t, x) * h + math.sqrt(h) * g[:, k - k0]
-                bad = _margin_rows(cfg.p, cfg.wall, y) < cfg.gap_floor
-                if np.any(bad):
-                    for i in np.nonzero(bad)[0]:
+                t = ts[k - k0]
+                h = ts[k - k0 + 1] - t
+                # y = (x + drift*h) + sqrt(h)*g, in this order
+                y = _drift_rows(p, wall, t, x)
+                y *= h
+                y += x
+                y += g[:, k - k0]
+                m = _margin_rows(p, wall, y)
+                if m is not None and (m < floor).any():
+                    for i in np.flatnonzero(m < floor):
                         if rescues[i] is None:
                             rescues[i] = _rescue_rng(cfg.seed, lo + i)
                         half = 0.5 * h
-                        mid = _advance_scalar(cfg, x[i], t, half, rescues[i], 1)
-                        y[i] = _advance_scalar(cfg, mid, t + half, half, rescues[i], 1)
+                        mid = _advance_scalar(cfg, x[:, i], t, half, rescues[i], 1)
+                        y[:, i] = _advance_scalar(cfg, mid, t + half, half, rescues[i], 1)
                         n_rescued += 1
                 x = y
                 if collect_full:
-                    full[lo:hi, k + 1] = x
+                    full[lo:hi, k + 1] = x.T
                 if k + 1 in rec_slot:
-                    snaps[lo:hi, rec_slot[k + 1]] = x
+                    snaps[lo:hi, rec_slot[k + 1]] = x.T
     out = snaps[:, [rec_slot[j] for j in rec]]
     return times, out, full, n_rescued
 

@@ -13,6 +13,7 @@ dimension d = p(2p+1) with the wall and d = p^2 without; the Gamma
 oracle is itself validated against the p=1 quadrature CDF before use.
 """
 
+import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -280,16 +281,21 @@ def _pair_marginal_density(params, xs, branch, chunk=128):
     rho = np.empty(xs.size)
     for lo in range(0, xs.size, chunk):
         hi = min(lo + chunk, xs.size)
+        # the mask zeroes every column left of lo (branch 0) or from hi on
+        # (branch 1), so the density is evaluated on columns [c0, c1) only;
+        # the rows keep their zeros, which fixes the trapezoid sums' order
+        c0, c1 = (lo, xs.size) if branch == 0 else (0, hi)
         u = xs[lo:hi, None]
-        v = xs[None, :]
-        pts = np.empty((hi - lo, xs.size, 2))
+        v = xs[None, c0:c1]
+        pts = np.empty((hi - lo, c1 - c0, 2))
         if branch == 0:
             pts[..., 0], pts[..., 1] = np.broadcast_arrays(u, v)
             mask = v >= u
         else:
             pts[..., 0], pts[..., 1] = np.broadcast_arrays(v, u)
             mask = v <= u
-        vals = evaluate_density_grid(params, pts) * mask
+        vals = np.zeros((hi - lo, xs.size))
+        vals[:, c0:c1] = evaluate_density_grid(params, pts) * mask
         fine = np.trapezoid(vals, dx=h, axis=1)
         coarse = np.trapezoid(vals[:, ::2], dx=2.0 * h, axis=1)
         rho[lo:hi] = fine + (fine - coarse) / 3.0
@@ -335,7 +341,10 @@ def _format_float(x):
 
 
 def report_to_json(report):
-    """Deterministic JSON: fixed key order, 17 significant digits, sorted records."""
+    """Deterministic JSON: fixed key order, 17 significant digits, sorted records.
+
+    Names and details go through json.dumps, so any string stays well formed.
+    """
     lines = ['{', '  "schema": "watermelon-report-1",']
     lines.append(f'  "verdict": {"true" if report.verdict else "false"},')
     lines.append('  "checks": [')
@@ -343,13 +352,13 @@ def report_to_json(report):
     for i, r in enumerate(records):
         row = (
             '    {'
-            f'"name": "{r.name}", '
+            f'"name": {json.dumps(r.name)}, '
             f'"statistic": {_format_float(r.statistic)}, '
             f'"threshold": {_format_float(r.threshold)}, '
             f'"passed": {"true" if r.passed else "false"}, '
             f'"sample_size": {r.sample_size}, '
             f'"seed": {r.seed}, '
-            f'"detail": "{r.detail}"'
+            f'"detail": {json.dumps(r.detail)}'
             '}'
         )
         lines.append(row + ("," if i + 1 < len(records) else ""))
@@ -1029,48 +1038,49 @@ _CHECKS = {
     "stirling_error_decay": _check_stirling_error_decay,
 }
 
-# Items sharing a simulation source sit next to each other so that a
-# parallel run, which hands each worker a contiguous block, recomputes
-# as few per-process cached sources as possible.  Record names, seeds,
-# and therefore report bytes do not depend on this ordering.
+# Items sharing a simulation source sit next to each other: a parallel
+# run hands each run of such items to one worker, so every source is
+# computed once.  Record names, seeds, and therefore report bytes do not
+# depend on this ordering.
 DEFAULT_PLAN = (
-    # batch 1: diffusion p = 2 with wall (plus its halved-step twin)
+    # diffusion p = 2 with wall (plus its halved-step twin)
     {"check": "sde_step_halving", "params": {"p": 2, "wall": True}},
     {"check": "norm_law_sde", "params": {"p": 2, "wall": True}},
     {"check": "moment_mc", "params": {"source": "sde_sim", "wall": True}},
     {"check": "sde_invariants", "params": {"p": 2, "wall": True}},
     {"check": "sde_time_symmetry", "params": {"p": 2, "wall": True}},
-    # batch 2: diffusion p = 2 without wall, then p = 1 with wall
+    # diffusion p = 2 without wall
     {"check": "norm_law_sde", "params": {"p": 2, "wall": False}},
     {"check": "moment_mc", "params": {"source": "sde_sim", "wall": False}},
     {"check": "sde_invariants", "params": {"p": 2, "wall": False}},
+    # diffusion p = 1 with wall, then without
     {"check": "norm_law_sde", "params": {"p": 1, "wall": True}},
     {"check": "sde_invariants", "params": {"p": 1, "wall": True}},
-    # batch 3: diffusion p = 1 without wall, lattice p = 3, lattice p = 2 wall
     {"check": "norm_law_sde", "params": {"p": 1, "wall": False}},
     {"check": "sde_invariants", "params": {"p": 1, "wall": False}},
+    # lattice p = 3 with wall, then without
     {"check": "symmetric_poly_mc", "params": {"p": 3, "wall": True}},
     {"check": "symmetric_poly_mc", "params": {"p": 3, "wall": False}},
+    # lattice p = 2 with wall
     {"check": "marginal_ks", "params": {"p": 2, "wall": True}},
-    # batch 4: lattice p = 2 with wall, then without
     {"check": "norm_law_discrete", "params": {"p": 2, "wall": True}},
     {"check": "moment_mc", "params": {"source": "discrete_walk", "wall": True}},
     {"check": "symmetric_poly_mc", "params": {"p": 2, "wall": True}},
+    # lattice p = 2 without wall
     {"check": "marginal_ks", "params": {"p": 2, "wall": False}},
     {"check": "norm_law_discrete", "params": {"p": 2, "wall": False}},
-    # batch 5: lattice p = 2 without wall, then p = 1 with wall
     {"check": "moment_mc", "params": {"source": "discrete_walk", "wall": False}},
     {"check": "symmetric_poly_mc", "params": {"p": 2, "wall": False}},
+    # lattice p = 1 with wall, then without
     {"check": "marginal_ks", "params": {"p": 1, "wall": True}},
     {"check": "norm_law_discrete", "params": {"p": 1, "wall": True}},
     {"check": "symmetric_poly_mc", "params": {"p": 1, "wall": True}},
-    # batch 6: lattice p = 1 without wall, then closed-form checks
     {"check": "marginal_ks", "params": {"p": 1, "wall": False}},
     {"check": "norm_law_discrete", "params": {"p": 1, "wall": False}},
     {"check": "symmetric_poly_mc", "params": {"p": 1, "wall": False}},
+    # closed-form checks
     {"check": "count_oracle_sweep", "params": {"max_steps": 8}},
     {"check": "sampler_uniformity", "params": {"cases": ((1, 3), (2, 2)), "samples": 100_000}},
-    # batch 7: remaining closed-form checks
     {"check": "norm_gamma_oracle", "params": {}},
     {"check": "moment_table", "params": {}},
     {"check": "stirling_error_decay", "params": {}},
@@ -1086,8 +1096,37 @@ def _run_plan_item(item, base_seed):
     return fn(params, base_seed, item.get("tolerance"))
 
 
-def _run_plan_item_seeded(args):
-    return _run_plan_item(args[0], args[1])
+_SDE_CHECKS = ("norm_law_sde", "sde_invariants", "sde_step_halving", "sde_time_symmetry")
+_LATTICE_CHECKS = ("marginal_ks", "norm_law_discrete", "symmetric_poly_mc")
+
+
+def _source_of(item):
+    """The cached source ("sde" | "discrete", p, wall) a plan item reads, or None."""
+    check, params = item.get("check"), item.get("params") or {}
+    if check == "moment_mc":
+        kind = "sde" if params.get("source") == "sde_sim" else "discrete"
+        return (kind, 2, params.get("wall"))
+    if check in _SDE_CHECKS:
+        return ("sde", params.get("p", 2), params.get("wall", True))
+    if check in _LATTICE_CHECKS:
+        return ("discrete", params.get("p"), params.get("wall"))
+    return None
+
+
+def _source_groups(items):
+    """Split a plan into runs of consecutive items that read the same source."""
+    groups = []
+    for item in items:
+        key = _source_of(item)
+        if key is not None and groups and _source_of(groups[-1][-1]) == key:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    return groups
+
+
+def _run_plan_group(items, base_seed):
+    return [_run_plan_item(item, base_seed) for item in items]
 
 
 def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
@@ -1110,15 +1149,11 @@ def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            # contiguous blocks keep source-sharing neighbors in one process
-            chunk = -(-len(items) // workers)
-            batches = list(
-                pool.map(
-                    _run_plan_item_seeded,
-                    [(item, base_seed) for item in items],
-                    chunksize=chunk,
-                )
-            )
+            # one task per source group, in plan order: each source is
+            # computed in one worker, and an idle worker takes the next group
+            groups = _source_groups(items)
+            done = pool.map(_run_plan_group, groups, [base_seed] * len(groups), chunksize=1)
+            batches = [batch for group in done for batch in group]
     records = [r for batch in batches for r in batch]
     if items:
         records.append(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -152,6 +153,67 @@ def test_trajectory_respects_invariants_end_to_end():
     assert traj.times[-1] == pytest.approx(0.95)
     assert (np.diff(traj.values, axis=1) > 0.0).all()
     assert (traj.values[:, 0] > 0.0).all()
+
+
+# sha256 of repr(shape) followed by the little-endian float64 bytes, with
+# the rescued-step count, recorded before the Euler step was rewritten
+# column by column.  dt = 1e-3 gives 960 steps, so the normals of each
+# replica come in two blocks; chunk 8 splits the 23 replicas unevenly.
+GOLDEN_BATCHES = {
+    (1, False): ("4a02f847c2b8542aa66835e1e105f26b2427e33071c68acf066fc46655fc0487", 0),
+    (1, True): ("cc83574bd1fc6ab145e550d2cf974fb5cd71b7f9671ee36f0643fe492bd1affb", 1),
+    (2, False): ("8d810e5cc7035079c0a9b22b05b4e73895f4f4f9b202acb900987413093e9cf3", 1),
+    (2, True): ("d570ee1ced0cc2a7731101120d18d92cc55a6e37c0bf77ba0ea1aea6be76b545", 2),
+    (3, False): ("3e922655a8705c3cfbbc0913890574327daba5b5aeaeb9f4237884748671d4bb", 1),
+    (3, True): ("399ae622641c5ba99667d3e7ae09d6f60813a3db6b05f0644c1b2b0308f03052", 12),
+}
+GOLDEN_TRAJECTORY = (
+    "8d8bf6c9724b15ca1567ce4fd4d6de1f5b42139ac020dfdb3a6b3895e56520d5",
+    "3d70789cee4f3ce5ba525257afdea075fc9071a3234eb8053eed1ef87c71495e",
+)
+
+
+def float_digest(a):
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p,wall", sorted(GOLDEN_BATCHES))
+def test_batch_golden_bytes(p, wall):
+    cfg = SdeConfig(p=p, wall=wall, dt=1e-3, seed=20260824 + p)
+    snaps, diag = simulate_batch(cfg, 23, (0.25, 0.5, 0.75), chunk=8, with_diagnostics=True)
+    assert (float_digest(snaps), diag["rescued_steps"]) == GOLDEN_BATCHES[(p, wall)]
+    # the digests pin the rescue path too: only p = 1 without a wall,
+    # which has nothing to break, never rescues
+    assert diag["rescued_steps"] > 0 or (p, wall) == (1, False)
+
+
+def test_simulate_golden_bytes():
+    traj = simulate(SdeConfig(p=2, wall=True, dt=1e-3, seed=7))
+    assert (float_digest(traj.times), float_digest(traj.values)) == GOLDEN_TRAJECTORY
+
+
+@pytest.mark.parametrize("p", [8, 9])
+@pytest.mark.parametrize("wall", [False, True])
+def test_drift_matches_pair_formula_past_seven_branches(p, wall):
+    # From p = 8 numpy would sum a row of pair terms pairwise, so the
+    # sequential sum is checked against the literal pair formula rather
+    # than old bytes: the same float terms, summed exactly by fsum, to
+    # 1e-14 of their summed magnitudes (the drift itself can cancel to ~0).
+    rng = np.random.default_rng(p)
+    t = 0.3
+    for _ in range(20):
+        x = np.sort(rng.uniform(0.1, 4.0, p)) if wall else np.sort(rng.normal(0.0, 2.0, p))
+        got = (drift_wall if wall else drift_nowall)(p, t, x)
+        for i in range(p):
+            terms = [-x[i] / (1.0 - t)] + ([1.0 / x[i]] if wall else [])
+            for j in range(p):
+                if j != i:
+                    terms.append(
+                        2.0 * x[i] / (x[i] ** 2 - x[j] ** 2) if wall else 1.0 / (x[i] - x[j])
+                    )
+            scale = math.fsum(abs(v) for v in terms)
+            assert abs(got[i] - math.fsum(terms)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -193,6 +195,28 @@ def test_branch_marginal_cdf_wall_starts_at_zero():
     assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+# sha256 of repr(shape) and the little-endian float64 CDF values at the
+# quadrature nodes, recorded before the pair density was evaluated on the
+# ordered half of each row block only.  513 nodes run five 128-row blocks.
+GOLDEN_PAIR_CDFS = {
+    (False, 0): "39e7400289769c545e46ad0d3e0fc87096da4fa514bfacee12e2e176364c335a",
+    (False, 1): "ef8143cf8ed5c351f64095b31696d86105b01b60fe94bb0144f12c161b4ca186",
+    (True, 0): "6a223a6170619aaf9ed7253e54d14ef24533792db4e970d3d438aef0a5846347",
+    (True, 1): "13bfda7e4760bed10e33362c9b5a0b820220818ecc667f4ddb1702a92957d49a",
+}
+
+
+@pytest.mark.parametrize("wall,branch", sorted(GOLDEN_PAIR_CDFS))
+def test_pair_cdf_golden_bytes(wall, branch):
+    t = 0.5
+    hi = 10.0 * math.sqrt(t * (1.0 - t)) * math.sqrt(2)
+    nodes = np.linspace(0.0 if wall else -hi, hi, 513)
+    # at a node the interpolation returns the table value itself
+    vals = np.ascontiguousarray(branch_marginal_cdf(2, t, wall, branch, nodes=513)(nodes), "<f8")
+    digest = hashlib.sha256(repr(vals.shape).encode() + vals.tobytes()).hexdigest()
+    assert digest == GOLDEN_PAIR_CDFS[(wall, branch)]
+
+
 def test_branch_marginal_cdf_validation():
     with pytest.raises(ValueError, match="p in"):
         branch_marginal_cdf(3, 0.5, True, 0)
@@ -263,6 +287,15 @@ def test_report_json_deterministic_and_sorted():
     assert '"verdict": false' in text
 
 
+def test_report_json_escapes_strings():
+    name = 'odd "name" \\ with\nbreak'
+    detail = 'quote " backslash \\ newline\n tab\t end'
+    rep = SuiteReport(records=(CheckRecord(name, 1.0, 2.0, True, 3, 4, detail),))
+    (row,) = json.loads(report_to_json(rep))["checks"]
+    assert row["name"] == name
+    assert row["detail"] == detail
+
+
 def test_report_json_rejects_non_finite():
     rep = SuiteReport(records=(CheckRecord("x", float("nan"), 1.0, False, 0, 0),))
     with pytest.raises(ValueError, match="non-finite"):
@@ -318,6 +351,18 @@ def test_run_suite_empty_plan_passes_vacuously():
     report = run_suite(plan=[])
     assert report.records == ()
     assert report.verdict is True
+
+
+def test_source_groups_of_default_plan():
+    groups = stats_verify._source_groups(stats_verify.DEFAULT_PLAN)
+    # plan order is kept, and every source is read by exactly one group
+    assert [item for g in groups for item in g] == list(stats_verify.DEFAULT_PLAN)
+    keys = [stats_verify._source_of(g[0]) for g in groups]
+    sourced = [k for k in keys if k is not None]
+    assert len(sourced) == len(set(sourced)) == 10
+    for g, key in zip(groups, keys):
+        assert all(stats_verify._source_of(item) == key for item in g)
+        assert key is not None or len(g) == 1
 
 
 def test_sde_source_computed_once_per_key(monkeypatch):
