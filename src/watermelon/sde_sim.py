@@ -323,10 +323,12 @@ def _integrate(
             k1 = min(k0 + block, n_steps)
             ts = times[k0:k1 + 1].tolist()
             # one draw per replica and block, turned into sqrt(h)-scaled
-            # increments in one pass; g[:, k - k0] is the (p, b) increment
+            # increments in one pass; g[:, k - k0] is the (p, b) increment.  A raw
+            # word >> 11 is integers(0, 2**53): on that range Lemire's method never rejects
             g = np.empty((p, k1 - k0, b))
             for i in range(b):
-                g[:, :, i] = base[i].integers(0, 1 << _U_BITS, size=(k1 - k0, p)).T
+                raw = base[i].bit_generator.random_raw((k1 - k0) * p) >> (64 - _U_BITS)
+                g[:, :, i] = raw.reshape(k1 - k0, p).T
             _inverse_cdf(g)
             g *= np.sqrt(np.diff(ts))[:, None]
             for k in range(k0, k1):

@@ -5,10 +5,11 @@ hypothesis tests: every check runs with a fixed seed derived from the
 base seed and the check name, and passes or fails deterministically at
 a threshold stated at the 5% level (1% for uniformity).
 
-Reference CDFs come from two oracles.  Branch marginals are built by
-trapezoid quadrature of the limit densities with one Richardson
-refinement (absolute CDF error well under 1e-6).  Norm laws use the
-Gamma CDF directly: |X(t)|^2 follows Gamma(d/2, 2t(1-t)) with Bessel
+Reference CDFs come from two oracles.  Branch marginals integrate the
+density of one branch by the trapezoid rule with one Richardson
+refinement (absolute CDF error well under 1e-6); for p = 2 that density
+is a closed-form sum of Gaussian moments.  Norm laws use the Gamma CDF
+directly: |X(t)|^2 follows Gamma(d/2, 2t(1-t)) with Bessel
 dimension d = p(2p+1) with the wall and d = p^2 without; the Gamma
 oracle is itself validated against the p=1 quadrature CDF before use.
 """
@@ -24,6 +25,7 @@ from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
+from scipy.special import erfc, gamma, gammainc, gammaincc
 
 from .discrete_walk import sample_marginal_batch, sample_path_batch
 from .exact_count import (
@@ -44,7 +46,12 @@ from .moments import (
     sym_wall_expectation,
 )
 from .sde_sim import SdeConfig, simulate_batch
-from .spectral_laws import DensityParams, evaluate_density_grid
+from .spectral_laws import (
+    DensityParams,
+    evaluate_density_grid,
+    nowall_density_constant,
+    wall_density_constant,
+)
 
 KS_SERIES_COEFF = {0.05: 1.3581015157406195, 0.01: 1.6276236115189504}
 
@@ -238,8 +245,9 @@ def _richardson_cumulative(xs, y_fine):
 def branch_marginal_cdf(p, t, wall, branch, nodes=None):
     """CDF of branch `branch` (0-based, ascending) of the limit marginal.
 
-    Built by trapezoid quadrature with Richardson refinement on the
-    smooth symmetric extension of the density; absolute error is held
+    Built by trapezoid quadrature with Richardson refinement of the
+    branch's density: the limit density itself for p = 1, the closed-form
+    marginal of one ordered coordinate for p = 2.  Absolute error is held
     below 1e-6 (tested), dominated by linear interpolation between the
     grid nodes at query time.  Supports p in {1, 2}.  Returns a callable
     mapping array-like points to CDF values, clipped to [0, 1].
@@ -269,37 +277,27 @@ def branch_marginal_cdf(p, t, wall, branch, nodes=None):
     return cdf
 
 
-def _pair_marginal_density(params, xs, branch, chunk=128):
-    """Marginal density of one ordered coordinate for p = 2.
+def _pair_marginal_density(params, xs, branch):
+    """Marginal density of one ordered coordinate for p = 2, in closed form.
 
-    Integrates the symmetric extension over the other coordinate on the
-    ordered side, with a Richardson step in the inner variable.  The
-    integrand vanishes quadratically on the diagonal, so the ordering
-    mask costs no smoothness that survives refinement.
+    The integral over the other coordinate v is a sum of Gaussian moments,
+    s = t(1-t).  Wall: v^2 (v^2 - u^2)^2 over v > u (branch 0) or v < u
+    gives M6 - 2u^2 M4 + u^4 M2, M_k = (2s)^a Gamma(a)/2 times the upper
+    (lower) regularized incomplete gamma at (a, u^2/2s), a = (k+1)/2.  No
+    wall: (v - u)^2 over v > u gives (s + u^2) sqrt(pi s/2) erfc(u/sqrt(2s))
+    - s u e^(-u^2/2s); branch 1 is the same at -u.
     """
-    h = xs[1] - xs[0]
-    rho = np.empty(xs.size)
-    for lo in range(0, xs.size, chunk):
-        hi = min(lo + chunk, xs.size)
-        # the mask zeroes every column left of lo (branch 0) or from hi on
-        # (branch 1), so the density is evaluated on columns [c0, c1) only;
-        # the rows keep their zeros, which fixes the trapezoid sums' order
-        c0, c1 = (lo, xs.size) if branch == 0 else (0, hi)
-        u = xs[lo:hi, None]
-        v = xs[None, c0:c1]
-        pts = np.empty((hi - lo, c1 - c0, 2))
-        if branch == 0:
-            pts[..., 0], pts[..., 1] = np.broadcast_arrays(u, v)
-            mask = v >= u
-        else:
-            pts[..., 0], pts[..., 1] = np.broadcast_arrays(v, u)
-            mask = v <= u
-        vals = np.zeros((hi - lo, xs.size))
-        vals[:, c0:c1] = evaluate_density_grid(params, pts) * mask
-        fine = np.trapezoid(vals, dx=h, axis=1)
-        coarse = np.trapezoid(vals[:, ::2], dx=2.0 * h, axis=1)
-        rho[lo:hi] = fine + (fine - coarse) / 3.0
-    return rho
+    s = params.t * (1.0 - params.t)
+    u2 = xs * xs
+    z = u2 / (2.0 * s)
+    e = np.exp(-z)
+    if params.wall:
+        tail = gammaincc if branch == 0 else gammainc
+        m2, m4, m6 = (0.5 * (2.0 * s) ** a * gamma(a) * tail(a, z) for a in (1.5, 2.5, 3.5))
+        return wall_density_constant(2) * s**-5.0 * u2 * e * (m6 - 2.0 * u2 * m4 + u2 * u2 * m2)
+    u = xs if branch == 0 else -xs
+    inner = (s + u2) * math.sqrt(0.5 * math.pi * s) * erfc(u / math.sqrt(2.0 * s)) - s * u * e
+    return nowall_density_constant(2) * s**-2.0 * e * inner
 
 
 def derive_check_seed(base_seed, name):

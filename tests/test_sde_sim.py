@@ -16,6 +16,7 @@ from watermelon.sde_sim import (
     simulate_batch,
     summarize_batch,
     trajectory_to_csv,
+    _base_rng,
 )
 
 
@@ -191,6 +192,16 @@ def test_batch_golden_bytes(p, wall):
 def test_simulate_golden_bytes():
     traj = simulate(SdeConfig(p=2, wall=True, dt=1e-3, seed=7))
     assert (float_digest(traj.times), float_digest(traj.values)) == GOLDEN_TRAJECTORY
+
+
+@pytest.mark.parametrize("seed,replica", [(0, 0), (7, 3), (20260824, 9999)])
+def test_base_stream_raw_words_match_bounded_integers(seed, replica):
+    # the Euler blocks read the top 53 bits of raw words; this pins that
+    # numpy's integers(0, 2**53) is that same value, word for word, so a
+    # change of numpy's bounded-integer algorithm fails here first
+    want = _base_rng(seed, replica).integers(0, 1 << 53, size=(3, 512, 2))
+    raw = _base_rng(seed, replica).bit_generator.random_raw(3 * 512 * 2) >> 11
+    assert np.array_equal(raw.reshape(3, 512, 2), want)
 
 
 @pytest.mark.parametrize("p", [8, 9])

@@ -237,9 +237,21 @@ def test_wall_p1_matches_quadrature_law():
 @pytest.mark.parametrize("branch", [0, 1])
 def test_wall_p2_branch_marginals(branch):
     lam = sample_wall_spectrum_batch(2, 8103, 10_000)
+    thr = KS95 / math.sqrt(lam.shape[0])
     cdf = branch_marginal_cdf(2, 0.5, True, branch, nodes=1025)
-    d = ks_statistic(lam[:, branch], cdf)
-    assert d <= KS95 / math.sqrt(lam.shape[0])
+    assert ks_statistic(lam[:, branch], cdf) <= thr
+    # the other branch's law is rejected by a wide margin
+    other = branch_marginal_cdf(2, 0.5, True, 1 - branch, nodes=1025)
+    assert ks_statistic(lam[:, branch], other) > 10.0 * thr
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+def test_gue_p2_branch_marginals(branch):
+    # at t = 1/2 the scaling prefactor sqrt(2t(1-t)) is sqrt(1/2)
+    mu = math.sqrt(0.5) * sample_gue_spectrum_batch(2, 8107, 10_000)
+    thr = KS95 / math.sqrt(mu.shape[0])
+    assert ks_statistic(mu[:, branch], branch_marginal_cdf(2, 0.5, False, branch)) <= thr
+    assert ks_statistic(mu[:, branch], branch_marginal_cdf(2, 0.5, False, 1 - branch)) > 10.0 * thr
 
 
 def test_norm_squared_gamma_laws():

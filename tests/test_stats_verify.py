@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from watermelon.stats_verify import (
     report_to_json,
     run_suite,
 )
+from watermelon.spectral_laws import DensityParams
 
 # values below were produced by a 30-digit mpmath evaluation of the
 # regularized incomplete gamma function
@@ -195,14 +197,59 @@ def test_branch_marginal_cdf_wall_starts_at_zero():
     assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def _pair_density_oracle(t, wall, branch, u):
+    """40-digit quadrature of the p = 2 density over the other coordinate.
+
+    The density is written out from the formulas (constants 1/(3 pi s^5)
+    with the wall and 1/(2 pi s^2) without, s = t(1-t)) and integrated on
+    the ordered side: v > u for the lower branch, v < u for the upper.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpf(t) * (1 - mpmath.mpf(t))
+        u = mpmath.mpf(u)
+        if wall:
+            c = 1 / (3 * mpmath.pi * s**5)
+
+            def f(v):
+                return c * u**2 * v**2 * (v**2 - u**2) ** 2 * mpmath.exp(-(u**2 + v**2) / (2 * s))
+
+            ends = [u, mpmath.inf] if branch == 0 else [0, u]
+        else:
+            c = 1 / (2 * mpmath.pi * s**2)
+
+            def f(v):
+                return c * (v - u) ** 2 * mpmath.exp(-(u**2 + v**2) / (2 * s))
+
+            ends = [u, mpmath.inf] if branch == 0 else [-mpmath.inf, u]
+        return float(mpmath.quad(f, ends))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.2])
+@pytest.mark.parametrize("wall,branch", [(False, 0), (False, 1), (True, 0), (True, 1)])
+def test_pair_marginal_density_matches_mpmath(t, wall, branch):
+    # on the grid branch_marginal_cdf builds, at ten nodes spread over the
+    # bulk of the law (in units of sigma = sqrt(t(1-t)))
+    sigma = math.sqrt(t * (1.0 - t))
+    hi = 10.0 * sigma * math.sqrt(2)
+    xs = np.linspace(0.0 if wall else -hi, hi, 4097)
+    if wall:
+        targets = [0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0]
+    else:
+        targets = [-3.0, -2.0, -1.4, -0.8, -0.3, 0.2, 0.7, 1.3, 2.0, 3.0]
+    idx = np.searchsorted(xs, sigma * np.array(targets))
+    rho = stats_verify._pair_marginal_density(DensityParams(2, t, wall), xs, branch)
+    for i in idx:
+        assert rho[i] == pytest.approx(_pair_density_oracle(t, wall, branch, xs[i]), abs=1e-14)
+
+
 # sha256 of repr(shape) and the little-endian float64 CDF values at the
-# quadrature nodes, recorded before the pair density was evaluated on the
-# ordered half of each row block only.  513 nodes run five 128-row blocks.
+# quadrature nodes: the mpmath test above checks the closed-form density's
+# accuracy, these pin its bytes.
 GOLDEN_PAIR_CDFS = {
-    (False, 0): "39e7400289769c545e46ad0d3e0fc87096da4fa514bfacee12e2e176364c335a",
-    (False, 1): "ef8143cf8ed5c351f64095b31696d86105b01b60fe94bb0144f12c161b4ca186",
-    (True, 0): "6a223a6170619aaf9ed7253e54d14ef24533792db4e970d3d438aef0a5846347",
-    (True, 1): "13bfda7e4760bed10e33362c9b5a0b820220818ecc667f4ddb1702a92957d49a",
+    (False, 0): "8f9e4165174612c5d6b5a761de4edd3d3a6e1bad6fd2a2b7525bf0886022b47f",
+    (False, 1): "4039f4345f59bd044b52822885c0abe2230aba435e49b18d0a86037e93ae7658",
+    (True, 0): "4c61a1d89da2d59b5cc50f8c6b4c198e6368282b3cfe2800248a57fafe5895ee",
+    (True, 1): "ddc464fb787ea9c22b5e558a326d2933b8c09b3e8b11ac144173a55e1fde6f68",
 }
 
 
