@@ -27,9 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .spectral_laws import sample_gue_spectrum_batch, sample_wall_spectrum_batch
+from .discrete_walk import U_BITS
+from .spectral_laws import (
+    sample_gue_spectrum_batch,
+    sample_wall_spectrum_batch,
+    words_to_normals,
+)
 
 __all__ = [
     "HalvingError",
@@ -43,10 +47,6 @@ __all__ = [
     "summarize_batch",
     "trajectory_to_csv",
 ]
-
-_U_BITS = 53
-_U_DEN = float(1 << _U_BITS)
-
 
 class HalvingError(RuntimeError):
     """Raised when a step cannot be completed within the halving budget."""
@@ -206,15 +206,8 @@ def _margin_rows(p: int, wall: bool, y: np.ndarray):
     return m
 
 
-def _inverse_cdf(u: np.ndarray) -> np.ndarray:
-    """Standard normals from 53-bit integers held as floats, in place."""
-    u += 0.5
-    u /= _U_DEN
-    return ndtri(u, out=u)
-
-
 def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    return _inverse_cdf(rng.integers(0, 1 << _U_BITS, size=shape).astype(np.float64))
+    return words_to_normals(rng.integers(0, 1 << U_BITS, size=shape).astype(np.float64))
 
 
 def _base_rng(seed: int, replica: int) -> np.random.Generator:
@@ -327,9 +320,9 @@ def _integrate(
             # word >> 11 is integers(0, 2**53): on that range Lemire's method never rejects
             g = np.empty((p, k1 - k0, b))
             for i in range(b):
-                raw = base[i].bit_generator.random_raw((k1 - k0) * p) >> (64 - _U_BITS)
+                raw = base[i].bit_generator.random_raw((k1 - k0) * p) >> (64 - U_BITS)
                 g[:, :, i] = raw.reshape(k1 - k0, p).T
-            _inverse_cdf(g)
+            words_to_normals(g)
             g *= np.sqrt(np.diff(ts))[:, None]
             for k in range(k0, k1):
                 t = ts[k - k0]

@@ -297,14 +297,21 @@ def eigensolve_symmetric_batch(a, tol=1e-12, sweep_cap=DEFAULT_SWEEP_CAP):
 # samplers
 
 
+def words_to_normals(u):
+    """Standard normals ndtri((u + 0.5) / 2^53) from 53-bit integers held as floats, in place."""
+    u += 0.5
+    u /= _U_DEN
+    return ndtri(u, out=u)
+
+
 def _replica_normals(base_seed, replicas, count):
     """(replicas, count) standard normals, one private stream per replica."""
-    u = np.empty((replicas, count), dtype=np.int64)
+    u = np.empty((replicas, count))
     for r in range(replicas):
         u[r] = derive_replica_rng(base_seed, r).integers(
             0, 1 << U_BITS, size=count, dtype=np.int64
         )
-    return ndtri((u + 0.5) / _U_DEN)
+    return words_to_normals(u)
 
 
 def sample_wall_spectrum_batch(p, base_seed, replicas):
