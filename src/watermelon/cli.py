@@ -30,6 +30,7 @@ from .stats_verify import (
     CheckRecord,
     DEFAULT_BASE_SEED,
     TestReport,
+    format_json,
     report_to_json,
     run_suite,
 )
@@ -66,28 +67,6 @@ class RenderSpec:
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _emit_json(obj):
-    """Deterministic JSON with 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _parse_floats(text):
@@ -190,9 +169,9 @@ def _cmd_simulate(args):
             out.close()
     if args.summary_out is not None:
         record = _parse_floats(args.record)
-        summary = summarize_batch(cfg, args.replicas, record)
+        text = format_json(summarize_batch(cfg, args.replicas, record))
         with open(args.summary_out, "w") as f:
-            f.write(_emit_json(summary) + "\n")
+            f.write(text + "\n")
     return 0
 
 
@@ -223,7 +202,7 @@ def _cmd_moments(args):
         else:
             out["p"] = args.p
         out["value"] = evaluate_moment(query)
-    print(_emit_json(out))
+    print(format_json(out))
     return 0
 
 

@@ -386,8 +386,11 @@ def summarize_batch(config: SdeConfig, replicas: int, record_times, max_order: i
     """Sample-moment summary of a batch at the requested times.
 
     Returns plain floats ready for JSON: per time and branch the moments up
-    to max_order with standard errors, plus the squared-norm mean.
+    to max_order with standard errors, plus the squared-norm mean.  A
+    standard error needs at least two replicas.
     """
+    if replicas < 2:
+        raise ValueError(f"a summary needs at least 2 replicas, got {replicas}")
     snaps = simulate_batch(config, replicas, record_times)
     out: dict = {
         "p": config.p,

@@ -35,9 +35,8 @@ from the replica stream of discrete_walk.derive_replica_rng, mapped
 through ndtri((u + 0.5) / 2^53).  Scalar samplers equal replica 0 of
 the batch samplers.
 
-Eigenvalues come from an in-house cyclic Jacobi solver (dimensions here
-are at most 2p+1, so simplicity beats speed); a batched variant runs
-the same rotation schedule across many matrices at once.
+Eigenvalues of each stack of sampled matrices come from
+numpy.linalg.eigvalsh, ascending.
 """
 
 import math
@@ -50,12 +49,9 @@ from .discrete_walk import U_BITS, derive_replica_rng
 
 _U_DEN = float(1 << U_BITS)
 
-MAX_EIGEN_DIMENSION = 64
-DEFAULT_SWEEP_CAP = 50
-
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass fell below tolerance."""
+    """A sampled spectrum is degenerate: a zero or repeated value (probability zero)."""
 
 
 @dataclass(frozen=True)
@@ -171,129 +167,6 @@ def density_nowall(params, x):
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense symmetric matrix stored as its lower triangle (row-major)."""
-
-    dimension: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        packed = np.asarray(self.packed, dtype=float)
-        object.__setattr__(self, "packed", packed)
-        d = self.dimension
-        if d < 1 or packed.shape != (d * (d + 1) // 2,):
-            raise ValueError("packed length must be dimension*(dimension+1)/2")
-
-    @classmethod
-    def from_full(cls, a, check=True, tol=0.0):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square matrix")
-        if check and not np.allclose(a, a.T, atol=tol, rtol=0.0):
-            raise ValueError("matrix is not symmetric")
-        d = a.shape[0]
-        idx = np.tril_indices(d)
-        return cls(dimension=d, packed=a[idx].copy())
-
-    def to_full(self):
-        d = self.dimension
-        a = np.zeros((d, d))
-        a[np.tril_indices(d)] = self.packed
-        return a + np.tril(a, -1).T
-
-
-def _jacobi(a, tol, sweep_cap, want_vectors):
-    """Cyclic Jacobi on a batch of symmetric matrices, shape (B, d, d).
-
-    One shared rotation schedule; each lane rotates only where its pivot
-    is nonzero.  Stops once every lane's off-diagonal Frobenius norm is
-    below its threshold, which is pushed a decade under tol*|A| so the
-    reconstruction error lands well inside the documented 10*tol*|A|.
-    """
-    a = a.copy()
-    b, d = a.shape[0], a.shape[1]
-    fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
-    thr = tol * np.minimum(1.0, np.maximum(0.1 * fro, 1e-300))
-    diag = np.arange(d)
-    q = np.broadcast_to(np.eye(d), (b, d, d)).copy() if want_vectors else None
-    for sweep in range(sweep_cap + 1):
-        # off-diagonal Frobenius norm, summed directly (the difference
-        # |A|^2 - sum diag^2 cancels catastrophically near convergence)
-        hollow = a.copy()
-        hollow[:, diag, diag] = 0.0
-        off = np.sqrt(np.sum(hollow * hollow, axis=(1, 2)))
-        if (off < thr).all():
-            break
-        if sweep == sweep_cap:
-            raise ConvergenceError(f"no convergence within {sweep_cap} sweeps")
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                apq = a[:, i, j]
-                act = apq != 0.0
-                if not act.any():
-                    continue
-                theta = np.zeros(b)
-                with np.errstate(over="ignore"):
-                    np.divide(a[:, j, j] - a[:, i, i], 2.0 * apq, out=theta, where=act)
-                # |theta| beyond 1e150 rotates identically to its clip
-                theta = np.clip(theta, -1e150, 1e150)
-                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(theta == 0.0, 1.0, t)  # 45-degree rotation
-                t = np.where(act, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cc, ss = c[:, None], s[:, None]
-                ri, rj = a[:, i, :].copy(), a[:, j, :]
-                a[:, i, :] = cc * ri - ss * rj
-                a[:, j, :] = ss * ri + cc * rj
-                ci, cj = a[:, :, i].copy(), a[:, :, j]
-                a[:, :, i] = cc * ci - ss * cj
-                a[:, :, j] = ss * ci + cc * cj
-                zero = np.zeros(b)
-                a[:, i, j] = np.where(act, zero, a[:, i, j])
-                a[:, j, i] = np.where(act, zero, a[:, j, i])
-                if want_vectors:
-                    qi, qj = q[:, :, i].copy(), q[:, :, j]
-                    q[:, :, i] = cc * qi - ss * qj
-                    q[:, :, j] = ss * qi + cc * qj
-    w = np.diagonal(a, axis1=1, axis2=2).copy()
-    order = np.argsort(w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    if want_vectors:
-        q = np.take_along_axis(q, order[:, None, :], axis=2)
-    return w, q
-
-
-def eigensolve_symmetric(m, tol=1e-12, vectors=False,
-                         max_dimension=MAX_EIGEN_DIMENSION,
-                         sweep_cap=DEFAULT_SWEEP_CAP):
-    """Ascending eigenvalues of a SymmetricMatrix by cyclic Jacobi.
-
-    The reconstruction Q diag(w) Q^T differs from the input by at most
-    10 * tol * |A|_F (tested).  vectors=True also returns Q.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if m.dimension > max_dimension:
-        raise ValueError(f"dimension {m.dimension} above cap {max_dimension}")
-    w, q = _jacobi(m.to_full()[None], tol, sweep_cap, vectors)
-    if vectors:
-        return w[0], q[0]
-    return w[0]
-
-
-def eigensolve_symmetric_batch(a, tol=1e-12, sweep_cap=DEFAULT_SWEEP_CAP):
-    """Ascending eigenvalues for a (B, d, d) stack of symmetric matrices."""
-    a = np.asarray(a, dtype=float)
-    w, _ = _jacobi(a, tol, sweep_cap, False)
-    return w
-
-
-# ---------------------------------------------------------------------------
 # samplers
 
 
@@ -325,7 +198,7 @@ def sample_wall_spectrum_batch(p, base_seed, replicas):
     a[:, iu, ju] = z
     a[:, ju, iu] = -z
     s = np.matmul(np.transpose(a, (0, 2, 1)), a)
-    w = eigensolve_symmetric_batch(s)
+    w = np.linalg.eigvalsh(s)
     lam = np.sqrt(np.maximum(w[:, 1::2], 0.0))
     return lam
 
@@ -356,7 +229,7 @@ def sample_gue_spectrum_batch(p, base_seed, replicas):
         pos += dof
         tri[:, k, k + 1] = chi
         tri[:, k + 1, k] = chi
-    w = eigensolve_symmetric_batch(tri)
+    w = np.linalg.eigvalsh(tri)
     return w / math.sqrt(2.0)
 
 

@@ -9,23 +9,25 @@ Reference CDFs come from two oracles.  Branch marginals integrate the
 density of one branch by the trapezoid rule with one Richardson
 refinement (absolute CDF error well under 1e-6); for p = 2 that density
 is a closed-form sum of Gaussian moments.  Norm laws use the Gamma CDF
-directly: |X(t)|^2 follows Gamma(d/2, 2t(1-t)) with Bessel
-dimension d = p(2p+1) with the wall and d = p^2 without; the Gamma
-oracle is itself validated against the p=1 quadrature CDF before use.
+(scipy's regularized incomplete gamma) directly: |X(t)|^2 follows
+Gamma(d/2, 2t(1-t)) with Bessel dimension d = p(2p+1) with the wall and
+d = p^2 without; the Gamma oracle is itself validated against the p=1
+quadrature CDF before use.  Chi-square critical values invert the same
+function.
 """
 
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from hashlib import sha256
 from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.special import erfc, gamma, gammainc, gammaincc
+from scipy.special import erfc, gamma, gammainc, gammaincc, gammainccinv
 
 from .discrete_walk import sample_marginal_batch, sample_path_batch
 from .exact_count import (
@@ -53,44 +55,11 @@ from .spectral_laws import (
     wall_density_constant,
 )
 
+# c(alpha) with KS threshold c/sqrt(N), from the full Kolmogorov series
 KS_SERIES_COEFF = {0.05: 1.3581015157406195, 0.01: 1.6276236115189504}
-
-_GAMMA_MAX_ITER = 2000
-_GAMMA_EPS = 1e-16
-_GAMMA_FPMIN = 1e-300
-
-
-def ks_critical_coefficient(alpha):
-    """c(alpha) with threshold c/sqrt(N); c(0.05) is the familiar 1.358."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return math.sqrt(-0.5 * math.log(alpha / 2.0))
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """A batch of i.i.d. scalar observations with its origin tag."""
-
-    values: np.ndarray
-    provenance: str
-    weight: str = "uniform"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        object.__setattr__(self, "values", v)
-        if v.size == 0:
-            raise ValueError("sample must be non-empty")
-        if not np.isfinite(v).all():
-            raise ValueError("sample must be finite")
-        if self.provenance not in ("discrete_walk", "sde_sim", "spectral_laws"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.weight != "uniform":
-            raise ValueError("only uniform weighting is supported")
 
 
 def _values(sample):
-    if isinstance(sample, EmpiricalSample):
-        return sample.values
     v = np.asarray(sample, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("sample must be non-empty")
@@ -110,8 +79,8 @@ def _apply_cdf(cdf, xs):
 def ks_statistic(sample, cdf):
     """Sup distance between the empirical CDF and a reference CDF.
 
-    Compare against ks_critical_coefficient(alpha)/sqrt(N); the suite
-    uses alpha = 0.05, i.e. 1.358/sqrt(N).
+    Compare against KS_SERIES_COEFF[alpha]/sqrt(N); the suite uses
+    alpha = 0.05, i.e. 1.358/sqrt(N).
     """
     xs = np.sort(_values(sample))
     n = xs.size
@@ -143,53 +112,16 @@ def empirical_moment(sample, order):
 
 
 # ---------------------------------------------------------------------------
-# regularized lower incomplete gamma
-
-
-def _gamma_series(a, z):
-    total = term = 1.0 / a
-    for k in range(1, _GAMMA_MAX_ITER):
-        term *= z / (a + k)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            return total * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    raise ArithmeticError("gamma series failed to converge")
-
-
-def _gamma_cont_fraction(a, z):
-    b = z + 1.0 - a
-    c = 1.0 / _GAMMA_FPMIN
-    d = 1.0 / b
-    h = d
-    for k in range(1, _GAMMA_MAX_ITER):
-        an = -k * (k - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _GAMMA_FPMIN:
-            d = _GAMMA_FPMIN
-        c = b + an / c
-        if abs(c) < _GAMMA_FPMIN:
-            c = _GAMMA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            return h * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    raise ArithmeticError("gamma continued fraction failed to converge")
+# Gamma and chi-square laws
 
 
 def gamma_cdf(shape, scale, x):
-    """CDF of the Gamma(shape, scale) law; series/fraction split at shape+1."""
+    """CDF of the Gamma(shape, scale) law: the regularized lower incomplete gamma."""
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0.0
-    z = x / scale
-    if z < shape + 1.0:
-        return _gamma_series(shape, z)
-    return 1.0 - _gamma_cont_fraction(shape, z)
+    return float(gammainc(shape, x / scale))
 
 
 def norm_squared_cdf(p, t, wall):
@@ -204,18 +136,20 @@ def norm_squared_cdf(p, t, wall):
 
     def cdf(y):
         arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return gamma_cdf(d / 2.0, scale, float(arr))
-        return np.array([gamma_cdf(d / 2.0, scale, float(v)) for v in arr])
+        if (arr < 0).any():
+            raise ValueError("x must be nonnegative")
+        return gammainc(d / 2.0, arr / scale)
 
     return cdf
 
 
-def chi_square_pvalue(statistic, dof):
-    """Upper tail of the chi-square law, via the in-house Gamma CDF."""
+def chi_square_critical(alpha, dof):
+    """Critical value with upper-tail mass alpha: chi-square is Gamma(dof/2, 2)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     if dof < 1:
         raise ValueError("dof must be at least 1")
-    return 1.0 - gamma_cdf(dof / 2.0, 2.0, statistic)
+    return float(2.0 * gammainccinv(dof / 2.0, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +264,45 @@ class TestReport:
         return all(r.passed for r in self.records)
 
 
-def _format_float(x):
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            raise ValueError("non-finite value in report")
-        return format(x, ".17g")
-    return str(x)
+def format_json(obj):
+    """One-line deterministic JSON with 17-significant-digit floats.
+
+    Keys keep their order and strings go through json.dumps.  NaN and
+    infinities have no JSON form and raise ValueError.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} in JSON output")
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {format_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(format_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def report_to_json(report):
     """Deterministic JSON: fixed key order, 17 significant digits, sorted records.
 
-    Names and details go through json.dumps, so any string stays well formed.
+    Each record is one format_json row, in CheckRecord field order.
     """
     lines = ['{', '  "schema": "watermelon-report-1",']
     lines.append(f'  "verdict": {"true" if report.verdict else "false"},')
     lines.append('  "checks": [')
     records = sorted(report.records, key=lambda r: r.name)
     for i, r in enumerate(records):
-        row = (
-            '    {'
-            f'"name": {json.dumps(r.name)}, '
-            f'"statistic": {_format_float(r.statistic)}, '
-            f'"threshold": {_format_float(r.threshold)}, '
-            f'"passed": {"true" if r.passed else "false"}, '
-            f'"sample_size": {r.sample_size}, '
-            f'"seed": {r.seed}, '
-            f'"detail": {json.dumps(r.detail)}'
-            '}'
-        )
+        row = "    " + format_json(asdict(r))
         lines.append(row + ("," if i + 1 < len(records) else ""))
     lines.append('  ]')
     lines.append('}')
@@ -397,25 +341,6 @@ def dequantize_lattice(positions, n, wall, rng=None):
     if rng is not None:
         out = out + rng.uniform(-1.0, 1.0, size=pos.shape)
     return out / math.sqrt(2.0 * n)
-
-
-def chi_square_critical(alpha, dof):
-    """Critical value with upper-tail mass alpha, by bisection on the CDF."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if dof < 1:
-        raise ValueError("dof must be at least 1")
-    lo = 0.0
-    hi = dof + 10.0 * math.sqrt(2.0 * dof) + 10.0
-    while chi_square_pvalue(hi, dof) > alpha:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if chi_square_pvalue(mid, dof) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from watermelon.cli import BRANCH_COLORS, RenderSpec, _emit_json, _fmt, main
+from watermelon.cli import BRANCH_COLORS, RenderSpec, _fmt, main
 from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
 from watermelon.moments import moment_wall_p2, normalized_table_entry
 from watermelon.sde_sim import read_trajectory_csv
 from watermelon.spectral_laws import DensityParams, density_wall
+from watermelon.stats_verify import format_json
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -151,6 +152,20 @@ def test_simulate_writes_trajectory_and_summary(tmp_path, capsys):
     assert summary["times"] == [0.5]
     assert len(summary["moments"]) == 1
     assert "norm_squared_mean" in summary
+
+
+def test_simulate_summary_of_one_replica_is_a_usage_error(tmp_path, capsys):
+    # one replica has no standard error; the summary must not be written
+    # with a nan, which is not JSON
+    json_file = tmp_path / "summary.json"
+    code, out, err = run_cli(
+        capsys, "simulate", "--p", "1", "--dt", "0.01",
+        "--summary-out", str(json_file), "--replicas", "1",
+    )
+    assert code == 2
+    assert "replicas" in err
+    assert "nan" not in out.lower()
+    assert not json_file.exists() or "nan" not in json_file.read_text().lower()
 
 
 def test_simulate_halving_failure_exits_one(capsys):
@@ -372,11 +387,14 @@ def test_unknown_subcommand_exits_two():
 
 def test_json_float_formatting():
     assert _fmt(0.1) == "0.10000000000000001"
-    assert _emit_json({"a": [1, 0.5, True, None, "s"]}) == (
+    assert format_json({"a": [1, 0.5, True, None, "s"]}) == (
         '{"a": [1, 0.5, true, null, "s"]}'
     )
     with pytest.raises(TypeError):
-        _emit_json({"bad": object()})
+        format_json({"bad": object()})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_json({"x": [bad]})
 
 
 def test_console_entrypoint_subprocess():

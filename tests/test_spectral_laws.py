@@ -1,19 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from watermelon.spectral_laws import (
     ChamberPoint,
-    ConvergenceError,
     DensityParams,
-    SymmetricMatrix,
+    _replica_normals,
     density_nowall,
     density_wall,
-    eigensolve_symmetric,
-    eigensolve_symmetric_batch,
     evaluate_density_grid,
     nowall_density_constant,
     sample_gue_spectrum,
@@ -29,74 +25,6 @@ from watermelon.stats_verify import (
 )
 
 KS95 = 1.3581015157406195
-
-
-# ---------------------------------------------------------------------------
-# eigensolver
-
-
-def test_eigensolve_identity():
-    m = SymmetricMatrix.from_full(np.eye(3))
-    assert np.allclose(eigensolve_symmetric(m), [1.0, 1.0, 1.0])
-
-
-def test_eigensolve_diagonal_sorts():
-    m = SymmetricMatrix.from_full(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(eigensolve_symmetric(m), [1.0, 2.0, 3.0])
-
-
-def test_eigensolve_swap_matrix():
-    m = SymmetricMatrix.from_full(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    w = eigensolve_symmetric(m)
-    assert w == pytest.approx([-1.0, 1.0], abs=1e-12)
-
-
-def test_eigensolve_reconstruction_and_trace():
-    rng = np.random.default_rng(7121)
-    for d in (2, 3, 5, 9):
-        a = rng.normal(size=(d, d))
-        a = a + a.T
-        m = SymmetricMatrix.from_full(a)
-        w, q = eigensolve_symmetric(m, vectors=True)
-        assert (np.diff(w) >= 0).all()
-        assert np.sum(w) == pytest.approx(np.trace(a), rel=1e-9)
-        fro = np.linalg.norm(a)
-        back = np.linalg.norm(q @ np.diag(w) @ q.T - a)
-        assert back <= 10.0 * 1e-12 * fro
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-@settings(max_examples=40, deadline=None)
-def test_eigensolve_batch_matches_scalar(seed, d):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, d, d))
-    a = a + np.transpose(a, (0, 2, 1))
-    batch = eigensolve_symmetric_batch(a)
-    for k in range(3):
-        single = eigensolve_symmetric(SymmetricMatrix.from_full(a[k]))
-        assert np.allclose(batch[k], single, atol=1e-10)
-
-
-def test_eigensolve_dimension_cap():
-    d = 65
-    m = SymmetricMatrix(dimension=d, packed=np.zeros(d * (d + 1) // 2))
-    with pytest.raises(ValueError, match="cap"):
-        eigensolve_symmetric(m)
-
-
-def test_eigensolve_sweep_cap_raises():
-    m = SymmetricMatrix.from_full(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ConvergenceError):
-        eigensolve_symmetric(m, sweep_cap=0)
-
-
-def test_symmetric_matrix_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        SymmetricMatrix.from_full(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError, match="packed"):
-        SymmetricMatrix(dimension=3, packed=np.zeros(5))
-    a = np.array([[2.0, -1.0], [-1.0, 5.0]])
-    assert np.array_equal(SymmetricMatrix.from_full(a).to_full(), a)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +134,42 @@ def test_scalar_samplers_match_batch_row_zero():
         assert np.array_equal(
             sample_gue_spectrum(p, 314), sample_gue_spectrum_batch(p, 314, 4)[0]
         )
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batch_samplers_match_mpmath_eigenvalues(p, wall):
+    # rebuild the matrices each sampler draws, from the same normals, and
+    # solve them with 30 digits: A^T A of the antisymmetric A with the
+    # wall, the tridiagonal Hermite model without
+    seed, replicas = 4401 + p, 4
+    if wall:
+        d = 2 * p + 1
+        iu, ju = np.triu_indices(d, 1)
+        z = 0.5 * _replica_normals(seed, replicas, iu.size)
+        got = sample_wall_spectrum_batch(p, seed, replicas)
+    else:
+        z = _replica_normals(seed, replicas, p * p)
+        got = sample_gue_spectrum_batch(p, seed, replicas)
+    with mpmath.workdps(30):
+        for r in range(replicas):
+            if wall:
+                a = mpmath.zeros(d)
+                for k, (i, j) in enumerate(zip(iu.tolist(), ju.tolist())):
+                    a[i, j], a[j, i] = z[r, k], -z[r, k]
+                w = sorted(mpmath.eigsy(a.T * a, eigvals_only=True))
+                want = [mpmath.sqrt(abs(v)) for v in w[1::2]]
+            else:
+                tri = mpmath.diag(z[r, :p].tolist())
+                pos = p
+                for k in range(p - 1):
+                    dof = 2 * (p - 1 - k)
+                    chi = math.sqrt(np.sum(z[r, pos:pos + dof] ** 2) / 2.0)
+                    tri[k, k + 1] = tri[k + 1, k] = chi
+                    pos += dof
+                w = sorted(mpmath.eigsy(tri, eigvals_only=True))
+                want = [v / mpmath.sqrt(2) for v in w]
+            assert np.allclose(got[r], np.array(want, dtype=float), rtol=0.0, atol=1e-12)
 
 
 def test_batch_rows_are_ordered():

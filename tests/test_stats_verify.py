@@ -10,16 +10,13 @@ from watermelon import stats_verify
 from watermelon.stats_verify import (
     KS_SERIES_COEFF,
     CheckRecord,
-    EmpiricalSample,
     TestReport as SuiteReport,  # alias keeps pytest from collecting it
     branch_marginal_cdf,
     chi_square_critical,
-    chi_square_pvalue,
     dequantize_lattice,
     derive_check_seed,
     empirical_moment,
     gamma_cdf,
-    ks_critical_coefficient,
     ks_statistic,
     ks_two_sample,
     norm_squared_cdf,
@@ -71,8 +68,9 @@ def test_gamma_cdf_limits_and_validation():
 
 
 def test_chi_square_pvalue_dof_two_closed_form():
+    # at dof 2 the upper tail is exp(-x/2), so that p-value's critical value is x
     for x in (0.3, 3.0, 11.0):
-        assert chi_square_pvalue(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-12)
+        assert chi_square_critical(math.exp(-x / 2.0), 2) == pytest.approx(x, rel=1e-12)
 
 
 def test_chi_square_critical_known_values():
@@ -83,7 +81,7 @@ def test_chi_square_critical_known_values():
 def test_chi_square_critical_roundtrip():
     for alpha, dof in ((0.05, 3), (0.01, 17), (0.2, 1)):
         crit = chi_square_critical(alpha, dof)
-        assert chi_square_pvalue(crit, dof) == pytest.approx(alpha, rel=1e-9)
+        assert gamma_cdf(dof / 2.0, 2.0, crit) == pytest.approx(1.0 - alpha)
 
 
 def test_norm_squared_cdf_dimensions():
@@ -93,6 +91,10 @@ def test_norm_squared_cdf_dimensions():
     f = norm_squared_cdf(1, 0.5, False)
     assert w(0.3) == pytest.approx(gamma_cdf(1.5, 0.5, 0.3), rel=1e-14)
     assert f(0.3) == pytest.approx(gamma_cdf(0.5, 0.5, 0.3), rel=1e-14)
+    ys = np.array([0.0, 0.3, 2.0])
+    assert np.array_equal(w(ys), [gamma_cdf(1.5, 0.5, y) for y in ys])
+    with pytest.raises(ValueError):
+        w(np.array([0.3, -0.1]))
     with pytest.raises(ValueError):
         norm_squared_cdf(1, 1.0, True)
 
@@ -103,14 +105,13 @@ def test_norm_squared_cdf_dimensions():
 
 def test_ks_coefficient_values():
     # the tabulated coefficients come from inverting the full Kolmogorov
-    # series; the closed one-term form agrees to 1e-16 at the 5% level
-    # and to seven digits at 1%
+    # series; the closed one-term form sqrt(-log(alpha/2)/2) agrees to
+    # 1e-16 at the 5% level and to seven digits at 1%
     assert KS_SERIES_COEFF[0.05] == 1.3581015157406195
     assert KS_SERIES_COEFF[0.01] == 1.6276236115189504
-    assert ks_critical_coefficient(0.05) == pytest.approx(KS_SERIES_COEFF[0.05], rel=1e-15)
-    assert ks_critical_coefficient(0.01) == pytest.approx(KS_SERIES_COEFF[0.01], rel=1e-7)
-    with pytest.raises(ValueError):
-        ks_critical_coefficient(1.5)
+    for alpha, rel in ((0.05, 1e-15), (0.01, 1e-7)):
+        one_term = math.sqrt(-0.5 * math.log(alpha / 2.0))
+        assert one_term == pytest.approx(KS_SERIES_COEFF[alpha], rel=rel)
 
 
 def test_ks_statistic_at_quantile_positions():
@@ -141,7 +142,7 @@ def test_ks_self_consistency_at_five_percent():
     # near its nominal level; 3 sigma of Binomial(400, 0.05) is about 13
     rng = np.random.default_rng(20220)
     rejections = 0
-    thr = ks_critical_coefficient(0.05) / math.sqrt(500)
+    thr = KS_SERIES_COEFF[0.05] / math.sqrt(500)
     for _ in range(400):
         u = rng.random(500)
         if ks_statistic(u, lambda x: np.asarray(x)) > thr:
@@ -153,17 +154,6 @@ def test_ks_two_sample_extremes():
     a = np.arange(10.0)
     assert ks_two_sample(a, a + 100.0) == pytest.approx(1.0)
     assert ks_two_sample(a, a) == pytest.approx(0.0)
-
-
-def test_empirical_sample_validation():
-    with pytest.raises(ValueError, match="non-empty"):
-        EmpiricalSample(values=np.array([]), provenance="sde_sim")
-    with pytest.raises(ValueError, match="finite"):
-        EmpiricalSample(values=np.array([1.0, np.nan]), provenance="sde_sim")
-    with pytest.raises(ValueError, match="provenance"):
-        EmpiricalSample(values=np.array([1.0]), provenance="dreams")
-    s = EmpiricalSample(values=np.array([[1.0, 2.0]]), provenance="discrete_walk")
-    assert s.values.shape == (2,)
 
 
 def test_empirical_moment_small_case():
