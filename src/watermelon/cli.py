@@ -160,6 +160,8 @@ def _cmd_simulate(args):
         max_halvings=args.max_halvings,
         seed=_env_seed(args.seed, 0),
     )
+    if args.summary_out is not None and args.replicas < 2:
+        raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
     traj = simulate(cfg)
     out, close = _open_out(args.out)
     try:

@@ -1,4 +1,4 @@
-"""Uniform sampling of discrete watermelons and their diffusive rescaling.
+"""Uniform sampling of discrete watermelons.
 
 A (p, 2n)-watermelon is sampled one time step at a time: standing at
 cross-section x after k steps, each of the 2^p candidate sign vectors eps
@@ -25,7 +25,6 @@ set means branch i steps up.
 """
 
 import csv
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,33 +137,6 @@ class WatermelonPath:
             raise ValueError("wall paths must stay nonnegative")
 
 
-@dataclass(frozen=True)
-class RescaledPath:
-    """Diffusively rescaled view: times k/(2n), values positions/sqrt(2n)."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def n(self):
-        return (self.values.shape[0] - 1) // 2
-
-
-def rescale(path):
-    two_n = 2 * path.n
-    return RescaledPath(
-        times=np.arange(two_n + 1) / two_n,
-        values=path.positions / math.sqrt(two_n),
-    )
-
-
-def marginal_at(path, t):
-    """Cross-section of a rescaled path at time t: values[floor(2n t)]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return path.values[int(math.floor(2 * path.n * t))]
-
-
 def sample_watermelon(p, n, wall, seed):
     """Draw one watermelon exactly uniformly.
 
@@ -189,14 +161,33 @@ def sample_watermelon(p, n, wall, seed):
     return WatermelonPath(p=p, n=n, positions=pos, wall=wall)
 
 
-def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk):
+def _check_start(p, n, wall, replicas, k0, x0):
+    """Reject a start that is not an admissible cross-section at step k0."""
+    if not 0 <= k0 <= 2 * n:
+        raise ValueError("the start step must lie in [0, 2n]")
+    if x0.shape != (replicas, p):
+        raise ValueError(f"start positions shape {x0.shape} != {(replicas, p)}")
+    shift = x0 - np.arange(0, 2 * p, 2)
+    if ((shift - k0) % 2 != 0).any() or (np.abs(shift) > min(k0, 2 * n - k0)).any():
+        raise ValueError(f"start positions cannot be reached at step {k0}")
+    if (p > 1 and not (x0[:, :-1] < x0[:, 1:]).all()) or (wall and (x0 < 0).any()):
+        raise ValueError("start positions must be strictly ordered, and nonnegative with a wall")
+
+
+def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk, start=None):
     if p < 1 or n < 1 or replicas < 1:
         raise ValueError("need p >= 1, n >= 1, replicas >= 1")
     two_n = 2 * n
+    k0 = 0
+    if start is not None:
+        k0, x0 = int(start[0]), np.asarray(start[1], dtype=np.int64)
+        _check_start(p, n, wall, replicas, k0, x0)
     ks = sorted(set(int(k) for k in k_indices))
-    if ks and not (0 <= ks[0] and ks[-1] <= two_n):
-        raise ValueError("snapshot indices must lie in [0, 2n]")
+    if ks and not (k0 <= ks[0] and ks[-1] <= two_n):
+        raise ValueError("snapshot indices must lie in [start step, 2n]")
     k_slot = {k: s for s, k in enumerate(ks)}
+    # nothing reads the chain past its last snapshot
+    k_end = two_n if collect_paths else max(ks, default=k0)
 
     eps_all = np.array(_moves(p), dtype=np.int64)  # (2^p, p)
     nmask = 1 << p
@@ -209,23 +200,25 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
     if collect_paths and paths.size > 60_000_000:
         raise ValueError("path collection for this batch would be too large; "
                          "use snapshots instead")
-    start = np.arange(0, 2 * p, 2, dtype=np.int64)
+    pinned = np.arange(0, 2 * p, 2, dtype=np.int64)
 
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         b = hi - lo
-        u = np.empty((b, two_n))
+        # one 53-bit draw is one raw 64-bit word >> 11 (integers(0, 2**53)
+        # never rejects), so advancing a stream by k0 words skips exactly
+        # the draws of steps 0..k0-1
+        u = np.empty((b, k_end - k0))
         for r in range(lo, hi):
-            u[r - lo] = derive_replica_rng(base_seed, r).integers(
-                0, _U_DEN, size=two_n, dtype=np.int64
-            )
+            bits = derive_replica_rng(base_seed, r).bit_generator.advance(k0)
+            u[r - lo] = bits.random_raw(k_end - k0) >> (64 - U_BITS)
         u /= _U_DEN
-        x = np.tile(start, (b, 1))
-        if 0 in k_slot:
-            snaps[lo:hi, k_slot[0]] = x
+        x = np.tile(pinned, (b, 1)) if start is None else x0[lo:hi].copy()
+        if k0 in k_slot:
+            snaps[lo:hi, k_slot[k0]] = x
         if collect_paths:
             paths[lo:hi, 0] = x
-        for k in range(two_n):
+        for k in range(k0, k_end):
             M = two_n - k - 1
             # all 2^p candidate endpoints at once, shape (b, 2^p, p); the
             # factors multiply one at a time in the order of step_weights,
@@ -242,7 +235,7 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
                 if wall:
                     w *= e[:, :, j] + e[:, :, i] + 2
             cum = np.cumsum(w, axis=1)
-            target = u[:, k] * cum[:, -1]
+            target = u[:, k - k0] * cum[:, -1]
             j = np.sum(cum < target[:, None], axis=1)
             x = x + eps_all[j]
             if k + 1 in k_slot:
@@ -253,7 +246,7 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
 
 
 def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
-                          chunk=DEFAULT_CHUNK):
+                          chunk=DEFAULT_CHUNK, *, start=None):
     """Cross-sections of many independent watermelons at the requested times.
 
     Runs the same conditional chain as sample_watermelon but vectorized
@@ -263,8 +256,15 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     positions with shape (replicas, len(k_indices), p), snapshot times
     sorted ascending.  Replica r depends only on (base_seed, r), so the
     result is independent of chunking and of any outer work splitting.
+
+    The chain stops at the last requested index: the steps after it, and
+    their draws, are never made.  start=(k0, x0) continues the chains from
+    the cross-sections x0, shape (replicas, p), at step k0, with every
+    replica's stream moved past its first k0 draws; every index must then
+    be at least k0.  Continuing from a snapshot of an earlier call with the
+    same base seed gives, bit for bit, the snapshots of one uninterrupted run.
     """
-    snaps, _ = _batch_core(p, n, wall, base_seed, replicas, k_indices, False, chunk)
+    snaps, _ = _batch_core(p, n, wall, base_seed, replicas, k_indices, False, chunk, start)
     return snaps
 
 

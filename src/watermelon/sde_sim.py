@@ -285,7 +285,8 @@ def _integrate(
     times = _grid(cfg)
     rec = _record_indices(times, record_times)
     rec_slot = {j: s for s, j in enumerate(sorted(set(rec)))}
-    n_steps = len(times) - 1
+    # without full paths nothing reads the state past the last record time
+    n_steps = len(times) - 1 if collect_full else max(rec, default=0)
 
     if collect_full and replicas * len(times) * cfg.p > 4_000_000:
         raise ValueError("full-path collection is only supported for small batches")
@@ -370,7 +371,10 @@ def simulate_batch(
 
     record_times must lie on the integration grid.  Replica r is a pure
     function of (config.seed, r), so results do not depend on chunking or
-    on how a batch is split across workers.
+    on how a batch is split across workers.  Integration stops at the last
+    record time; a snapshot is the same whatever later times are recorded.
+    With with_diagnostics the result comes with {"rescued_steps": count}
+    of the base steps that were halved, up to the last record time.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")

@@ -366,6 +366,8 @@ _SOURCE_REPLICAS = 10_000
 _SOURCE_TIMES = (0.25, 0.5, 0.75)
 _DISCRETE_K_INDICES = (1024, 2048, 3072)
 _SDE_RECORD_TIMES = (0.25, 0.35, 0.5, 0.65, 0.75)
+# the dt/2 twin is read only at t = 1/2, by sde_step_halving
+_SDE_TWIN_RECORD_TIMES = (0.5,)
 _SDE_DT = 1e-4
 
 
@@ -376,25 +378,48 @@ def _source_seed(kind, p, wall, base_seed, dt=None):
     return derive_check_seed(base_seed, tag)
 
 
-@lru_cache(maxsize=None)
-def _discrete_source(p, wall, base_seed):
-    """Marginal snapshots at t = 1/4, 1/2, 3/4 for n = 2048, shape (N, 3, p)."""
-    seed = _source_seed("discrete", p, wall, base_seed)
-    return sample_marginal_batch(
-        p, _SOURCE_STEPS, wall, seed, _SOURCE_REPLICAS, _DISCRETE_K_INDICES
-    )
+# (p, wall, base_seed) -> {step k: (N, p) snapshot}, the lattice source's
+# snapshots at every source time up to the furthest one read so far
+_DISCRETE_SNAPSHOTS = {}
+
+
+def _discrete_source(p, wall, base_seed, t):
+    """Cross-section of the n = 2048 lattice source at t in _SOURCE_TIMES, shape (N, p).
+
+    Each source's chain runs only as far as the latest time read from it in
+    this process.  Its snapshots at every source time up to there share
+    one cache entry; a later t continues the chain from the latest of them
+    (sample_marginal_batch's start), so no step is computed twice and every
+    snapshot equals that of one uninterrupted run.  Snapshots are read-only.
+    """
+    k = _DISCRETE_K_INDICES[_SOURCE_TIMES.index(t)]
+    snaps = _DISCRETE_SNAPSHOTS.setdefault((p, wall, base_seed), {})
+    if k not in snaps:
+        k0 = max(snaps, default=0)
+        ks = [j for j in _DISCRETE_K_INDICES if k0 < j <= k]
+        seed = _source_seed("discrete", p, wall, base_seed)
+        batch = sample_marginal_batch(
+            p, _SOURCE_STEPS, wall, seed, _SOURCE_REPLICAS, ks,
+            start=(k0, snaps[k0]) if snaps else None,
+        )
+        batch.setflags(write=False)
+        snaps.update(zip(ks, batch.transpose(1, 0, 2)))
+    return snaps[k]
 
 
 @lru_cache(maxsize=None)
 def _sde_source(p, wall, base_seed, dt, /):
     """Euler snapshots at the five shared record times, shape (N, 5, p).
 
-    Every argument is required and positional-only, so each source has
-    exactly one cache key and is computed once per process.
+    The dt/2 twin records only _SDE_TWIN_RECORD_TIMES, shape (N, 1, p), so
+    its integration stops at t = 1/2.  Every argument is required and
+    positional-only, so each source has exactly one cache key and is
+    computed once per process.
     """
     seed = _source_seed("sde", p, wall, base_seed, dt=dt)
     cfg = SdeConfig(p=p, wall=wall, dt=dt, seed=seed)
-    return simulate_batch(cfg, _SOURCE_REPLICAS, _SDE_RECORD_TIMES)
+    times = _SDE_RECORD_TIMES if dt == _SDE_DT else _SDE_TWIN_RECORD_TIMES
+    return simulate_batch(cfg, _SOURCE_REPLICAS, times)
 
 
 def _jitter_rng(base_seed, name):
@@ -555,9 +580,9 @@ def _check_sampler_uniformity(params, base_seed, tolerance):
 def _check_marginal_ks(params, base_seed, tolerance):
     p = int(params["p"])
     wall = bool(params["wall"])
-    snaps = _discrete_source(p, wall, base_seed)
+    snaps = _discrete_source(p, wall, base_seed, 0.5)
     rng = _jitter_rng(base_seed, f"marginal_ks/{p}/{int(wall)}/jitter")
-    vals = dequantize_lattice(snaps[:, 1, :], _SOURCE_STEPS, wall, rng)
+    vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
     n_obs = vals.shape[0]
     thr = (
         KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
@@ -616,9 +641,9 @@ def _check_norm_gamma_oracle(params, base_seed, tolerance):
 def _check_norm_law_discrete(params, base_seed, tolerance):
     p = int(params["p"])
     wall = bool(params["wall"])
-    snaps = _discrete_source(p, wall, base_seed)
+    samples = [_discrete_source(p, wall, base_seed, t) for t in _SOURCE_TIMES]
     rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
-    n_obs = snaps.shape[0]
+    n_obs = samples[0].shape[0]
     thr = (
         KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
         if tolerance is None
@@ -627,8 +652,8 @@ def _check_norm_law_discrete(params, base_seed, tolerance):
     d = p * (2 * p + 1) if wall else p * p
     seed = _source_seed("discrete", p, wall, base_seed)
     out = []
-    for i, t in enumerate(_SOURCE_TIMES):
-        vals = dequantize_lattice(snaps[:, i, :], _SOURCE_STEPS, wall, rng)
+    for t, snaps in zip(_SOURCE_TIMES, samples):
+        vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
         y = np.sum(vals * vals, axis=1)
         out.append(
             _record(
@@ -715,7 +740,7 @@ def _check_moment_mc(params, base_seed, tolerance):
     max_order = int(params.get("max_order", 4))
     thr = 3.0 if tolerance is None else float(tolerance)
     if source == "discrete_walk":
-        snaps = _discrete_source(2, wall, base_seed)[:, 1, :]
+        snaps = _discrete_source(2, wall, base_seed, 0.5)
         vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
         seed = _source_seed("discrete", 2, wall, base_seed)
         short = "discrete"
@@ -753,7 +778,7 @@ def _check_symmetric_poly_mc(params, base_seed, tolerance):
     p = int(params["p"])
     wall = bool(params["wall"])
     thr = 3.0 if tolerance is None else float(tolerance)
-    snaps = _discrete_source(p, wall, base_seed)[:, 1, :]
+    snaps = _discrete_source(p, wall, base_seed, 0.5)
     x = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
     y = x * x if wall else x
     closed = sym_wall_expectation if wall else sym_nowall_expectation
@@ -806,9 +831,8 @@ def _check_sde_step_halving(params, base_seed, tolerance):
     p = int(params.get("p", 2))
     wall = bool(params.get("wall", True))
     thr = 2.0 if tolerance is None else float(tolerance)
-    mid = _SDE_RECORD_TIMES.index(0.5)
-    base = _sde_source(p, wall, base_seed, _SDE_DT)[:, mid, :]
-    fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, mid, :]
+    base = _sde_source(p, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
+    fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, _SDE_TWIN_RECORD_TIMES.index(0.5), :]
     yb = np.sum(base * base, axis=1)
     yf = np.sum(fine * fine, axis=1)
     mb, sb = empirical_moment(yb, 1)

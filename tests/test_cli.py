@@ -168,6 +168,18 @@ def test_simulate_summary_of_one_replica_is_a_usage_error(tmp_path, capsys):
     assert not json_file.exists() or "nan" not in json_file.read_text().lower()
 
 
+def test_simulate_usage_error_writes_nothing(tmp_path, capsys):
+    # the replica count is checked before the trajectory is integrated
+    csv_file, json_file = tmp_path / "t.csv", tmp_path / "s.json"
+    code, _, err = run_cli(
+        capsys, "simulate", "--p", "1", "--dt", "0.01", "--out", str(csv_file),
+        "--summary-out", str(json_file), "--replicas", "1",
+    )
+    assert code == 2
+    assert "replicas" in err
+    assert not csv_file.exists() and not json_file.exists()
+
+
 def test_simulate_halving_failure_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--p", "2", "--wall", "--t0", "0.1", "--dt", "0.001",

@@ -1,4 +1,4 @@
-"""Tests for the uniform watermelon sampler and rescaling.
+"""Tests for the uniform watermelon sampler.
 
 Oracle: the exact conditional distribution from exact_count.step_distribution.
 The sampler's integer weight tables must normalize to those Fractions
@@ -18,12 +18,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from watermelon.discrete_walk import (
-    RescaledPath,
     WatermelonPath,
     derive_replica_rng,
-    marginal_at,
     read_path_csv,
-    rescale,
     sample_marginal_batch,
     sample_path_batch,
     sample_watermelon,
@@ -146,39 +143,6 @@ def test_uniformity_chi_square(p, n):
 
 
 # ---------------------------------------------------------------------------
-# rescaling
-
-
-def test_rescale_examples():
-    path = sample_watermelon(1, 1, True, 0)
-    r = rescale(path)
-    assert np.allclose(r.values[:, 0], [0.0, 1 / math.sqrt(2), 0.0])
-    assert np.allclose(r.times, [0.0, 0.5, 1.0])
-    assert r.n == 1
-
-
-def test_rescale_is_exact_division():
-    path = sample_watermelon(2, 17, False, 5)
-    r = rescale(path)
-    # bitwise equal to the defining expression, not merely close
-    assert np.array_equal(r.values, path.positions / math.sqrt(34))
-
-
-def test_marginal_at_grid_convention():
-    path = rescale(sample_watermelon(2, 8, True, 3))
-    assert np.array_equal(marginal_at(path, 0.0), path.values[0])
-    assert np.array_equal(marginal_at(path, 1.0), path.values[16])
-    assert np.array_equal(marginal_at(path, 0.5), path.values[8])
-    # floor convention between grid points
-    assert np.array_equal(marginal_at(path, 0.49), path.values[7])
-    start = np.arange(0, 4, 2) / math.sqrt(16)
-    assert np.allclose(marginal_at(path, 0.0), start)
-    assert np.allclose(marginal_at(path, 1.0), start)
-    with pytest.raises(ValueError):
-        marginal_at(path, 1.5)
-
-
-# ---------------------------------------------------------------------------
 # batch sampler
 
 
@@ -197,6 +161,36 @@ def test_batch_chunk_invariance_and_snapshot_order():
     assert np.array_equal(a[:, 0], paths[:, 0])
     assert np.array_equal(a[:, 1], paths[:, 40])
     assert np.array_equal(a[:, 2], paths[:, 80])
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_marginal_batch_continues_from_a_snapshot(p, wall):
+    # a chain stopped at its last snapshot and continued from it, with
+    # chunks that split the 11 replicas unevenly, is the uninterrupted chain
+    whole = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25, 80], chunk=4)
+    head = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25], chunk=3)
+    tail = sample_marginal_batch(p, 40, wall, 5, 11, [25, 60, 80], chunk=4,
+                                 start=(25, head[:, 1]))
+    assert np.array_equal(whole[:, :2], head)
+    assert np.array_equal(whole[:, 1:], tail[:, [0, 2]])
+    paths = sample_path_batch(p, 40, wall, 5, 11)
+    assert np.array_equal(tail, paths[:, [25, 60, 80]])
+
+
+def test_marginal_batch_rejects_a_bad_start():
+    x = sample_marginal_batch(2, 10, True, 3, 4, [6])[:, 0]
+    with pytest.raises(ValueError, match="snapshot indices"):
+        sample_marginal_batch(2, 10, True, 3, 4, [5], start=(6, x))
+    with pytest.raises(ValueError, match="shape"):
+        sample_marginal_batch(2, 10, True, 3, 3, [8], start=(6, x))
+    with pytest.raises(ValueError, match="reached"):
+        sample_marginal_batch(2, 10, True, 3, 4, [8], start=(7, x))
+    with pytest.raises(ValueError, match="reached"):
+        sample_marginal_batch(2, 10, True, 3, 4, [18], start=(16, x + 6))
+    for bad in ([2, 2], [-2, 2]):  # a tie, and a branch below the wall
+        with pytest.raises(ValueError, match="ordered"):
+            sample_marginal_batch(2, 10, True, 3, 4, [8], start=(6, np.tile(bad, (4, 1))))
 
 
 def test_batch_snapshot_parity_and_ordering():

@@ -162,14 +162,24 @@ def test_trajectory_respects_invariants_end_to_end():
 # replica come in two blocks; chunk 8 splits the 23 replicas unevenly.
 # The p >= 2 digests and the trajectory were re-recorded when the initial
 # spectra moved to numpy's eigvalsh (states within 4.4e-16 of the old
-# ones, rescued counts unchanged).
+# ones, rescued counts unchanged).  Each entry holds the digest and count
+# at t = 1/4, 1/2, 3/4, then those of the same batch recorded also at
+# 0.98, the end of the window.  Integration stops at the last record time,
+# so only the second count holds the rescues after t = 3/4; the second
+# digest and count were recorded while every batch still ran to 0.98.
 GOLDEN_BATCHES = {
-    (1, False): ("4a02f847c2b8542aa66835e1e105f26b2427e33071c68acf066fc46655fc0487", 0),
-    (1, True): ("cc83574bd1fc6ab145e550d2cf974fb5cd71b7f9671ee36f0643fe492bd1affb", 1),
-    (2, False): ("3442773271b64e5b16c8d314e4d0bd452cb36c5f6b6d97fccdae272fc4e478f7", 1),
-    (2, True): ("a9d6163214131901f489bc20fe5c80acc4b57c9899b25a08694fc5defca56891", 2),
-    (3, False): ("25ca898b323914b1eae3ddaf6d23c35f4166afab257c2cc35ec9c9a4922aea9e", 1),
-    (3, True): ("270fad2966ecd751c75575c6716b68690999982049bd9e614e13457e4d40a963", 12),
+    (1, False): ("4a02f847c2b8542aa66835e1e105f26b2427e33071c68acf066fc46655fc0487", 0,
+                 "a5678022450d917112f9c65002dc0d3456897a2b55829a0e701e457e6e4f227a", 0),
+    (1, True): ("cc83574bd1fc6ab145e550d2cf974fb5cd71b7f9671ee36f0643fe492bd1affb", 0,
+                "26406b64add4c9da151572fc6f1f9f12e201409b4fc95138e653f5740bd9b779", 1),
+    (2, False): ("3442773271b64e5b16c8d314e4d0bd452cb36c5f6b6d97fccdae272fc4e478f7", 1,
+                 "41db6ce5f6fc543f2900436f972933767f7e0f57ca367911f1391fa0513f6580", 1),
+    (2, True): ("a9d6163214131901f489bc20fe5c80acc4b57c9899b25a08694fc5defca56891", 1,
+                "b5e8ad6fd5ac02b4f9978420c9f337803bcb0195382e8639813577a6a1339e3d", 2),
+    (3, False): ("25ca898b323914b1eae3ddaf6d23c35f4166afab257c2cc35ec9c9a4922aea9e", 1,
+                 "ddb8a185ca18129ff87558f658484bf0a1c8627472d1a52bbfb85d79399e3d10", 1),
+    (3, True): ("270fad2966ecd751c75575c6716b68690999982049bd9e614e13457e4d40a963", 9,
+                "4d7808eeb39acd2a6e220b8307f31005c088454631c7bd5cb549ddaf44036ad4", 12),
 }
 GOLDEN_TRAJECTORY = (
     "8d8bf6c9724b15ca1567ce4fd4d6de1f5b42139ac020dfdb3a6b3895e56520d5",
@@ -184,12 +194,18 @@ def float_digest(a):
 
 @pytest.mark.parametrize("p,wall", sorted(GOLDEN_BATCHES))
 def test_batch_golden_bytes(p, wall):
+    digest, rescued, digest_to_end, rescued_to_end = GOLDEN_BATCHES[(p, wall)]
     cfg = SdeConfig(p=p, wall=wall, dt=1e-3, seed=20260824 + p)
     snaps, diag = simulate_batch(cfg, 23, (0.25, 0.5, 0.75), chunk=8, with_diagnostics=True)
-    assert (float_digest(snaps), diag["rescued_steps"]) == GOLDEN_BATCHES[(p, wall)]
+    assert (float_digest(snaps), diag["rescued_steps"]) == (digest, rescued)
+    longer, diag = simulate_batch(
+        cfg, 23, (0.25, 0.5, 0.75, 0.98), chunk=8, with_diagnostics=True
+    )
+    assert float_digest(longer[:, :3]) == digest
+    assert (float_digest(longer), diag["rescued_steps"]) == (digest_to_end, rescued_to_end)
     # the digests pin the rescue path too: only p = 1 without a wall,
     # which has nothing to break, never rescues
-    assert diag["rescued_steps"] > 0 or (p, wall) == (1, False)
+    assert rescued_to_end > 0 or (p, wall) == (1, False)
 
 
 def test_simulate_golden_bytes():

@@ -404,11 +404,12 @@ def test_source_groups_of_default_plan():
 
 def test_sde_source_computed_once_per_key(monkeypatch):
     # the step-halving check and the other SDE checks share the dt = 1e-4
-    # source; the stub counts computations instead of integrating
+    # source, and the dt/2 twin records only the time it is read at; the
+    # stub counts computations instead of integrating
     calls = []
 
     def counting_batch(cfg, replicas, record_times):
-        calls.append((cfg.p, cfg.wall, cfg.dt))
+        calls.append((cfg.p, cfg.wall, cfg.dt, tuple(record_times)))
         rng = np.random.default_rng(len(calls))
         raw = np.abs(rng.standard_normal((64, len(record_times), cfg.p))) + 0.1
         return np.cumsum(raw, axis=2)
@@ -422,4 +423,30 @@ def test_sde_source_computed_once_per_key(monkeypatch):
     ]
     # a base seed of its own keeps the stubbed sources out of other tests
     run_suite(plan=plan, base_seed=-4242)
-    assert sorted(calls) == [(2, True, 5e-5), (2, True, 1e-4)]
+    assert sorted(calls) == [(2, True, 5e-5, (0.5,)),
+                             (2, True, 1e-4, (0.25, 0.35, 0.5, 0.65, 0.75))]
+
+
+def test_lattice_sources_stop_at_their_last_read(monkeypatch):
+    # the default plan's lattice items, on small real sources: every source
+    # runs its chain once, in continuation calls that end at the furthest
+    # index any item reads from it (t = 1/2 for p = 3, t = 3/4 otherwise)
+    calls = {}
+    real = stats_verify.sample_marginal_batch
+
+    def counting_batch(p, n, wall, base_seed, replicas, k_indices, start=None):
+        k0 = 0 if start is None else start[0]
+        calls.setdefault((p, wall), []).append((k0, max(k_indices)))
+        return real(p, n, wall, base_seed, replicas, k_indices, start=start)
+
+    monkeypatch.setattr(stats_verify, "sample_marginal_batch", counting_batch)
+    monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
+    monkeypatch.setattr(stats_verify, "_DISCRETE_SNAPSHOTS", {})
+    plan = [item for item in stats_verify.DEFAULT_PLAN
+            if (stats_verify._source_of(item) or (None,))[0] == "discrete"]
+    run_suite(plan=plan)
+    assert sorted(calls) == [(p, wall) for p in (1, 2, 3) for wall in (False, True)]
+    for (p, wall), spans in calls.items():
+        # each call starts where the previous one stopped
+        assert [k0 for k0, _ in spans] == [0] + [k1 for _, k1 in spans[:-1]]
+        assert sum(k1 - k0 for k0, k1 in spans) == (2048 if p == 3 else 3072)
