@@ -14,14 +14,21 @@ of small nonnegative integers (see step_weights).  Invalid moves pick up
 a literal zero factor, which is why no admissibility filtering is needed
 before normalization.
 
+The batch sampler evaluates those factors as float rows: every factor of
+every move is affine in (x, 1, M), so one cached matrix maps a chunk's
+states to all of them in a single product, and one left-to-right product
+over the factors gives weights bit-identical to multiplying them in the
+order of step_weights.  A step therefore costs the same handful of numpy
+calls whatever p is.
+
 Randomness: numpy's PCG64 underlies everything.  Replica r of a batch
 draws from Generator(PCG64(SeedSequence((base_seed, r)))), and the scalar
 sampler with seed s is bit-identical to replica 0 under base seed s.  Each
-replica pre-draws one 53-bit integer per time step; the inverse-CDF
-selection compares these integers against exact scaled cumulative weights
-(scalar path) or float cumulative weights (batch path), with ties
-resolving to the lower move index.  Moves are indexed by bit mask: bit i
-set means branch i steps up.
+replica reads one 53-bit integer per time step (replica_words); the
+inverse-CDF selection compares these integers against exact scaled
+cumulative weights (scalar path) or float cumulative weights (batch path),
+with ties resolving to the lower move index.  Moves are indexed by bit
+mask: bit i set means branch i steps up.
 """
 
 import csv
@@ -42,6 +49,17 @@ DEFAULT_CHUNK = 1024
 def derive_replica_rng(base_seed, replica):
     """The named per-replica stream: PCG64 seeded by SeedSequence((base, r))."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((base_seed, replica))))
+
+
+def replica_words(base_seed, replica, count, skip=0):
+    """Draws skip .. skip+count-1 of integers(0, 2**53) on replica stream r, as uint64.
+
+    One draw is one raw 64-bit word >> 11 (integers(0, 2**53) never rejects
+    on that range), so skipping draws is advancing the stream by as many
+    words.
+    """
+    bits = derive_replica_rng(base_seed, replica).bit_generator.advance(skip)
+    return bits.random_raw(count) >> (64 - U_BITS)
 
 
 def _moves(p):
@@ -147,8 +165,7 @@ def sample_watermelon(p, n, wall, seed):
     """
     if p < 1 or n < 1:
         raise ValueError("need p >= 1 and n >= 1")
-    rng = derive_replica_rng(seed, 0)
-    u = rng.integers(0, _U_DEN, size=2 * n, dtype=np.int64)
+    u = replica_words(seed, 0, 2 * n)
     moves = _moves(p)
     pos = np.empty((2 * n + 1, p), dtype=np.int64)
     x = tuple(range(0, 2 * p, 2))
@@ -174,6 +191,50 @@ def _check_start(p, n, wall, replicas, k0, x0):
         raise ValueError("start positions must be strictly ordered, and nonnegative with a wall")
 
 
+@lru_cache(maxsize=None)
+def _factor_matrix(p, wall):
+    """Every factor of step_weights for every move, as rows affine in z = (x, 1, M).
+
+    Row f * 2^p + mask holds factor f of move mask, the factors in the
+    order step_weights multiplies them: f_i, then e_i + 1 with a wall, for
+    each branch i; then e_j - e_i, then e_j + e_i + 2 with a wall, for each
+    pair i < j.  With e = x + eps and eps_i^2 = 1,
+    f_i = (M - eps_i e_i)/2 + offset = M/2 - eps_i x_i/2 - 1/2 + offset.
+    """
+    eps = np.array(_moves(p), dtype=float)  # (2^p, p)
+
+    def factor(const, coefs, m=0.0):
+        rows = np.zeros((1 << p, p + 2))
+        for i, c in coefs:
+            rows[:, i] = c
+        rows[:, p] = const
+        rows[:, p + 1] = m
+        return rows
+
+    down = p + 1 if wall else 1
+    blocks = []
+    for i in range(p):
+        blocks.append(factor(np.where(eps[:, i] == 1, p, down) - 0.5, [(i, -0.5 * eps[:, i])], 0.5))
+        if wall:
+            blocks.append(factor(eps[:, i] + 1, [(i, 1.0)]))
+    for i in range(p):
+        for j in range(i + 1, p):
+            blocks.append(factor(eps[:, j] - eps[:, i], [(j, 1.0), (i, -1.0)]))
+            if wall:
+                blocks.append(factor(eps[:, j] + eps[:, i] + 2, [(j, 1.0), (i, 1.0)]))
+    a = np.concatenate(blocks)
+    a.setflags(write=False)
+    return a
+
+
+def _move_weights(a, z):
+    """Float weights of every move, shape (2^p, b), for states z = (x, 1, M) of shape (p+2, b)."""
+    p, b = z.shape[0] - 2, z.shape[1]
+    fac = a @ z
+    np.maximum(fac, 0.0, out=fac)
+    return np.multiply.reduce(fac.reshape(-1, 1 << p, b), axis=0)
+
+
 def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk, start=None):
     if p < 1 or n < 1 or replicas < 1:
         raise ValueError("need p >= 1, n >= 1, replicas >= 1")
@@ -189,11 +250,8 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
     # nothing reads the chain past its last snapshot
     k_end = two_n if collect_paths else max(ks, default=k0)
 
-    eps_all = np.array(_moves(p), dtype=np.int64)  # (2^p, p)
-    nmask = 1 << p
-    # step_weights' factor after each move, as f = (M - eps*e)/2 + offset
-    offset = np.where(eps_all == 1, float(p), float(p + 1 if wall else 1))
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    a = _factor_matrix(p, wall)
+    moves = np.array(_moves(p), dtype=float).T  # (p, 2^p)
 
     snaps = np.empty((replicas, len(ks), p), dtype=np.int64)
     paths = np.empty((replicas, two_n + 1, p), dtype=np.int64) if collect_paths else None
@@ -205,43 +263,41 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         b = hi - lo
-        # one 53-bit draw is one raw 64-bit word >> 11 (integers(0, 2**53)
-        # never rejects), so advancing a stream by k0 words skips exactly
-        # the draws of steps 0..k0-1
-        u = np.empty((b, k_end - k0))
+        # (steps, b), so that each step's uniforms are contiguous; every
+        # stream skips the draws of steps 0..k0-1
+        u = np.empty((k_end - k0, b))
         for r in range(lo, hi):
-            bits = derive_replica_rng(base_seed, r).bit_generator.advance(k0)
-            u[r - lo] = bits.random_raw(k_end - k0) >> (64 - U_BITS)
+            u[:, r - lo] = replica_words(base_seed, r, k_end - k0, skip=k0)
         u /= _U_DEN
-        x = np.tile(pinned, (b, 1)) if start is None else x0[lo:hi].copy()
+        # the chunk's states as float rows z = (x_0 .. x_{p-1}, 1, M)
+        z = np.empty((p + 2, b))
+        z[:p] = pinned[:, None] if start is None else x0[lo:hi].T
+        z[p] = 1.0
+        x = z[:p]
         if k0 in k_slot:
-            snaps[lo:hi, k_slot[k0]] = x
+            snaps[lo:hi, k_slot[k0]] = x.T
         if collect_paths:
-            paths[lo:hi, 0] = x
+            paths[lo:hi, 0] = x.T
         for k in range(k0, k_end):
-            M = two_n - k - 1
-            # all 2^p candidate endpoints at once, shape (b, 2^p, p); the
-            # factors multiply one at a time in the order of step_weights,
-            # which fixes every float weight bit for bit
-            e = x[:, None, :] + eps_all
-            f = np.maximum((M - eps_all * e) * 0.5 + offset, 0.0)
-            w = np.ones((b, nmask))
-            for i in range(p):
-                w *= f[:, :, i]
-                if wall:
-                    w *= e[:, :, i] + 1
-            for i, j in pairs:
-                w *= e[:, :, j] - e[:, :, i]
-                if wall:
-                    w *= e[:, :, j] + e[:, :, i] + 2
-            cum = np.cumsum(w, axis=1)
-            target = u[:, k - k0] * cum[:, -1]
-            j = np.sum(cum < target[:, None], axis=1)
-            x = x + eps_all[j]
+            # The weights equal, bit for bit, the product of step_weights'
+            # factors taken left to right:
+            # - every entry of a @ z, and every partial sum of it, is a
+            #   multiple of 1/2 below 2^13 (at n = 2048), so BLAS sums it
+            #   exactly in any order, with or without FMA;
+            # - inside the chamber only the f factors can be negative, and
+            #   step_weights clips only those: the others are >= 0 there, so
+            #   clipping them too changes nothing;
+            # - a multiply reduce over axis 0 is a left fold from factor 0
+            #   (only float add reductions sum pairwise);
+            # - add.accumulate over axis 0 adds the moves in mask order.
+            z[p + 1] = two_n - k - 1
+            cum = np.add.accumulate(_move_weights(a, z), axis=0)
+            j = (cum < u[k - k0] * cum[-1]).sum(axis=0)
+            x += moves.take(j, axis=1)
             if k + 1 in k_slot:
-                snaps[lo:hi, k_slot[k + 1]] = x
+                snaps[lo:hi, k_slot[k + 1]] = x.T
             if collect_paths:
-                paths[lo:hi, k + 1] = x
+                paths[lo:hi, k + 1] = x.T
     return snaps, paths
 
 

@@ -328,15 +328,6 @@ def stirling_ratio_log_asymptotic(n, t, a, b, c, d) -> float:
     )
 
 
-def stirling_ratio_asymptotic(n, t, a, b, c, d) -> float:
-    """The asymptotic factorial-ratio value itself (not its log).
-
-    Overflows float range once 2k+a is large (k beyond ~500); the log
-    variants carry the acceptance-grade error measurement for large n.
-    """
-    return math.exp(stirling_ratio_log_asymptotic(n, t, a, b, c, d))
-
-
 def stirling_ratio_relative_error(n, t, a, b, c, d) -> float:
     """|exact/asymptotic - 1| computed stably in log space."""
     return abs(

@@ -31,9 +31,8 @@ matrix) and the GUE spectrum for the free case.  Sampling is exact:
   Normal(0, 1/2).
 
 Gaussians are drawn by inverse CDF: one 53-bit integer u per variate
-from the replica stream of discrete_walk.derive_replica_rng, mapped
-through ndtri((u + 0.5) / 2^53).  Scalar samplers equal replica 0 of
-the batch samplers.
+from the replica stream (discrete_walk.replica_words), mapped through
+ndtri((u + 0.5) / 2^53).
 
 Eigenvalues of each stack of sampled matrices come from
 numpy.linalg.eigvalsh, ascending.
@@ -45,37 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .discrete_walk import U_BITS, derive_replica_rng
+from .discrete_walk import U_BITS, replica_words
 
 _U_DEN = float(1 << U_BITS)
-
-
-class ConvergenceError(RuntimeError):
-    """A sampled spectrum is degenerate: a zero or repeated value (probability zero)."""
-
-
-@dataclass(frozen=True)
-class ChamberPoint:
-    """An ordered configuration, tagged by which chamber it lives in."""
-
-    x: np.ndarray
-    chamber: str
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        if self.chamber not in ("wall", "nowall"):
-            raise ValueError("chamber must be 'wall' or 'nowall'")
-        if x.ndim != 1 or x.size < 1 or not np.isfinite(x).all():
-            raise ValueError("x must be a finite vector")
-        if not (np.diff(x) > 0).all():
-            raise ValueError("coordinates must increase strictly")
-        if self.chamber == "wall" and x[0] < 0:
-            raise ValueError("wall configurations need x[0] >= 0")
-
-    @property
-    def p(self):
-        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -109,12 +80,6 @@ def nowall_density_constant(p):
     return 2.0 ** (-p / 2) / (math.pi ** (p / 2) * fact)
 
 
-def _coords(x):
-    if isinstance(x, ChamberPoint):
-        return np.asarray(x.x, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
 def evaluate_density_grid(params, points):
     """The smooth symmetric extension of the density on arbitrary points.
 
@@ -146,7 +111,7 @@ def density_wall(params, x):
     """Limit marginal density with the wall; 0 outside the closed chamber."""
     if not params.wall:
         raise ValueError("params.wall must be true for density_wall")
-    v = _coords(x)
+    v = np.asarray(x, dtype=float)
     if v.shape != (params.p,):
         raise ValueError(f"x must be a vector of length {params.p}")
     if v[0] < 0 or not (np.diff(v) >= 0).all():
@@ -158,7 +123,7 @@ def density_nowall(params, x):
     """Limit marginal density without the wall; 0 outside the closed chamber."""
     if params.wall:
         raise ValueError("params.wall must be false for density_nowall")
-    v = _coords(x)
+    v = np.asarray(x, dtype=float)
     if v.shape != (params.p,):
         raise ValueError(f"x must be a vector of length {params.p}")
     if not (np.diff(v) >= 0).all():
@@ -181,9 +146,7 @@ def _replica_normals(base_seed, replicas, count):
     """(replicas, count) standard normals, one private stream per replica."""
     u = np.empty((replicas, count))
     for r in range(replicas):
-        u[r] = derive_replica_rng(base_seed, r).integers(
-            0, 1 << U_BITS, size=count, dtype=np.int64
-        )
+        u[r] = replica_words(base_seed, r, count)
     return words_to_normals(u)
 
 
@@ -203,17 +166,6 @@ def sample_wall_spectrum_batch(p, base_seed, replicas):
     return lam
 
 
-def sample_wall_spectrum(p, seed):
-    """One exact draw of the positive wall spectrum, as a wall ChamberPoint.
-
-    Scaling 2*sqrt(t(1-t)) * result is distributed with density f(t; .).
-    """
-    lam = sample_wall_spectrum_batch(p, seed, 1)[0]
-    if not (lam[0] > 0 and (np.diff(lam) > 0).all()):
-        raise ConvergenceError("degenerate spectrum (probability-zero event)")
-    return ChamberPoint(x=lam, chamber="wall")
-
-
 def sample_gue_spectrum_batch(p, base_seed, replicas):
     """(replicas, p) draws of the scaled GUE spectrum, rows ascending."""
     if p < 1:
@@ -231,12 +183,3 @@ def sample_gue_spectrum_batch(p, base_seed, replicas):
         tri[:, k + 1, k] = chi
     w = np.linalg.eigvalsh(tri)
     return w / math.sqrt(2.0)
-
-
-def sample_gue_spectrum(p, seed):
-    """One exact draw of the scaled GUE spectrum (ascending p-vector).
-
-    Scaling sqrt(2t(1-t)) * result has the no-wall density g(t; .); at
-    p=1 the draw is Normal(0, 1/2).
-    """
-    return sample_gue_spectrum_batch(p, seed, 1)[0]

@@ -378,8 +378,9 @@ def _source_seed(kind, p, wall, base_seed, dt=None):
     return derive_check_seed(base_seed, tag)
 
 
-# (p, wall, base_seed) -> {step k: (N, p) snapshot}, the lattice source's
-# snapshots at every source time up to the furthest one read so far
+# (p, wall, base_seed, replicas) -> {step k: (replicas, p) snapshot}, the
+# lattice source's snapshots at every source time up to the furthest one
+# read so far
 _DISCRETE_SNAPSHOTS = {}
 
 
@@ -388,12 +389,13 @@ def _discrete_source(p, wall, base_seed, t):
 
     Each source's chain runs only as far as the latest time read from it in
     this process.  Its snapshots at every source time up to there share
-    one cache entry; a later t continues the chain from the latest of them
+    one cache entry, keyed on the replica count at call time too; a later
+    t continues the chain from the latest of them
     (sample_marginal_batch's start), so no step is computed twice and every
     snapshot equals that of one uninterrupted run.  Snapshots are read-only.
     """
     k = _DISCRETE_K_INDICES[_SOURCE_TIMES.index(t)]
-    snaps = _DISCRETE_SNAPSHOTS.setdefault((p, wall, base_seed), {})
+    snaps = _DISCRETE_SNAPSHOTS.setdefault((p, wall, base_seed, _SOURCE_REPLICAS), {})
     if k not in snaps:
         k0 = max(snaps, default=0)
         ks = [j for j in _DISCRETE_K_INDICES if k0 < j <= k]
@@ -407,19 +409,23 @@ def _discrete_source(p, wall, base_seed, t):
     return snaps[k]
 
 
-@lru_cache(maxsize=None)
 def _sde_source(p, wall, base_seed, dt, /):
     """Euler snapshots at the five shared record times, shape (N, 5, p).
 
     The dt/2 twin records only _SDE_TWIN_RECORD_TIMES, shape (N, 1, p), so
-    its integration stops at t = 1/2.  Every argument is required and
-    positional-only, so each source has exactly one cache key and is
-    computed once per process.
+    its integration stops at t = 1/2.  The cache key is the arguments and
+    the replica count at call time, so each source is computed once per
+    process and size.
     """
+    return _sde_batch(p, wall, base_seed, dt, _SOURCE_REPLICAS)
+
+
+@lru_cache(maxsize=None)
+def _sde_batch(p, wall, base_seed, dt, replicas, /):
     seed = _source_seed("sde", p, wall, base_seed, dt=dt)
     cfg = SdeConfig(p=p, wall=wall, dt=dt, seed=seed)
     times = _SDE_RECORD_TIMES if dt == _SDE_DT else _SDE_TWIN_RECORD_TIMES
-    return simulate_batch(cfg, _SOURCE_REPLICAS, times)
+    return simulate_batch(cfg, replicas, times)
 
 
 def _jitter_rng(base_seed, name):

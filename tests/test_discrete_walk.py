@@ -19,8 +19,11 @@ from scipy import stats as sps
 
 from watermelon.discrete_walk import (
     WatermelonPath,
+    _factor_matrix,
+    _move_weights,
     derive_replica_rng,
     read_path_csv,
+    replica_words,
     sample_marginal_batch,
     sample_path_batch,
     sample_watermelon,
@@ -88,6 +91,12 @@ def test_named_replica_stream_is_stable():
         6774808108302205,
         6511312921708219,
     ]
+
+
+@pytest.mark.parametrize("seed,replica,skip", [(0, 0, 0), (12345, 3, 5), (20260824, 9999, 1024)])
+def test_replica_words_are_bounded_integers_after_a_skip(seed, replica, skip):
+    want = derive_replica_rng(seed, replica).integers(0, 1 << 53, size=skip + 700)[skip:]
+    assert np.array_equal(replica_words(seed, replica, 700, skip=skip), want)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +226,66 @@ def test_float_mode_agrees_with_exact_at_2048():
     assert np.array_equal(batch[0], exact.positions)
 
 
+def _step_factors(p, n, wall, k, x, mask):
+    """step_weights' integer factors of one move, in its order, f clipped at 0."""
+    M = 2 * n - k - 1
+    eps = [1 if (mask >> i) & 1 else -1 for i in range(p)]
+    e = [a + s for a, s in zip(x, eps)]
+    out = []
+    for i in range(p):
+        if eps[i] == 1:
+            f = (M - e[i]) // 2 + p
+        else:
+            f = (M + e[i]) // 2 + (p + 1 if wall else 1)
+        out.append(max(f, 0))
+        if wall:
+            out.append(e[i] + 1)
+    for i in range(p):
+        for j in range(i + 1, p):
+            out.append(e[j] - e[i])
+            if wall:
+                out.append(e[j] + e[i] + 2)
+    return out
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("p", [2, 3])
+def test_batch_weights_fold_factors_left_to_right(p, wall):
+    # At n = 2048 the weights reach 2^89 (p = 3 with the wall): once the
+    # running product passes 2^53 each factor rounds it, and a reorder of
+    # those factors moves last bits (a reorder among the first few, whose
+    # product stays exact, cannot show).  At the goldens' n = 64 almost no
+    # product rounds.  Every batch weight must equal, bit for bit, the float
+    # product of step_weights' factors taken left to right from 1.0.
+    n = 2048
+    a = _factor_matrix(p, wall)
+    paths = sample_path_batch(p, n, wall, 20260824, 3)
+    got, want = [], []
+    for k in range(0, 2 * n, 7):
+        x = paths[:, k]
+        z = np.vstack([x.T, np.ones(len(x)), np.full(len(x), 2 * n - k - 1)]).astype(float)
+        got.append(_move_weights(a, z).T)
+        for row in x.tolist():
+            exact = step_weights(p, n, wall, k, row)
+            weights = []
+            for mask in range(1 << p):
+                factors = _step_factors(p, n, wall, k, row, mask)
+                assert math.prod(factors) == exact[mask]
+                w = 1.0
+                for f in factors:
+                    w *= float(f)
+                weights.append(w)
+            want.append(weights)
+    got = np.concatenate(got)
+    assert got.shape == (3 * len(range(0, 2 * n, 7)), 1 << p)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
 # sha256 of repr(shape) followed by the little-endian int64 bytes.  These
 # pin the chain sampler's output exactly: replica streams, move indexing,
 # weights and the selection rule.  A float weight that moved by an ulp
 # would flip a draw only about once in 2^52, so the weights themselves
-# are pinned by keeping the factor order of step_weights, not by this.
+# are pinned by test_batch_weights_fold_factors_left_to_right, not by this.
 GOLDEN_MARGINALS = {
     (1, False): "f118354491727f46db8fd05560c94b4d33854a6f17a0eaf2980e49ae1edc46b4",
     (1, True): "55f734a002a1870cb30ed9d01f8d75f46a674aeeb2a55a550be967dbc41b6f39",

@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from watermelon.spectral_laws import (
-    ChamberPoint,
     DensityParams,
     _replica_normals,
     density_nowall,
     density_wall,
     evaluate_density_grid,
     nowall_density_constant,
-    sample_gue_spectrum,
     sample_gue_spectrum_batch,
-    sample_wall_spectrum,
     sample_wall_spectrum_batch,
     wall_density_constant,
 )
@@ -104,17 +101,6 @@ def test_density_chamber_boundaries():
     )
 
 
-def test_chamber_point_validation():
-    with pytest.raises(ValueError, match="chamber"):
-        ChamberPoint(x=[0.1, 0.2], chamber="left")
-    with pytest.raises(ValueError, match="increase"):
-        ChamberPoint(x=[0.2, 0.1], chamber="nowall")
-    with pytest.raises(ValueError, match="x\\[0\\]"):
-        ChamberPoint(x=[-0.1, 0.2], chamber="wall")
-    pt = ChamberPoint(x=[0.5, 1.5, 2.5], chamber="wall")
-    assert pt.p == 3
-
-
 def test_density_params_validation():
     with pytest.raises(ValueError, match="t must"):
         DensityParams(1, 0.0, True)
@@ -124,16 +110,6 @@ def test_density_params_validation():
 
 # ---------------------------------------------------------------------------
 # samplers
-
-
-def test_scalar_samplers_match_batch_row_zero():
-    for p in (1, 2, 3):
-        assert np.array_equal(
-            sample_wall_spectrum(p, 314).x, sample_wall_spectrum_batch(p, 314, 4)[0]
-        )
-        assert np.array_equal(
-            sample_gue_spectrum(p, 314), sample_gue_spectrum_batch(p, 314, 4)[0]
-        )
 
 
 @pytest.mark.parametrize("wall", [True, False])

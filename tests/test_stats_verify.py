@@ -450,3 +450,32 @@ def test_lattice_sources_stop_at_their_last_read(monkeypatch):
         # each call starts where the previous one stopped
         assert [k0 for k0, _ in spans] == [0] + [k1 for _, k1 in spans[:-1]]
         assert sum(k1 - k0 for k0, k1 in spans) == (2048 if p == 3 else 3072)
+
+
+def test_source_caches_are_keyed_on_the_replica_count(monkeypatch):
+    # the replica count is read when a source is computed; a source cached
+    # at one count must not answer for another
+    plan = [{"check": "norm_law_sde", "params": {"p": 1, "wall": False}},
+            {"check": "marginal_ks", "params": {"p": 1, "wall": False}}]
+    for replicas in (12, 24):
+        monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", replicas)
+        sizes = {r.sample_size for r in run_suite(plan=plan, base_seed=77).records
+                 if r.name != "suite_runtime"}
+        assert sizes == {replicas}
+
+
+# sha256 of report_to_json for the default plan at 1/100 of its Monte Carlo
+# size (100 source replicas, 1,000 uniformity samples) at DEFAULT_BASE_SEED:
+# a change to any lattice, SDE, census or statistic byte moves it
+SCALED_PLAN_SHA256 = "12f2ebc409cedadb9f6efd2deaefaef6ffff27dc11c1edc885ef45a82fb508c7"
+
+
+def test_default_plan_at_one_hundredth_keeps_its_bytes(monkeypatch):
+    monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 100)
+    plan = []
+    for item in stats_verify.DEFAULT_PLAN:
+        if item["check"] == "sampler_uniformity":
+            item = dict(item, params=dict(item["params"], samples=1000))
+        plan.append(item)
+    text = report_to_json(run_suite(plan=plan))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALED_PLAN_SHA256
