@@ -11,7 +11,14 @@ package provides
   and the limiting interacting SDEs,
 * closed-form moment formulas for two-branch ensembles, and
 * a deterministic statistical verification suite tying all of it together.
+
+format_json, the one JSON writer of reports and CLI output, lives here
+and imports only the standard library, so a subcommand that writes JSON
+loads no numerical layer it does not run.
 """
+
+import json
+import math
 
 __version__ = "0.1.0"
 
@@ -23,4 +30,33 @@ __all__ = [
     "moments",
     "stats_verify",
     "cli",
+    "format_json",
 ]
+
+
+def format_json(obj):
+    """One-line deterministic JSON with 17-significant-digit floats.
+
+    Keys keep their order and strings go through json.dumps.  NaN and
+    infinities have no JSON form and raise ValueError.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} in JSON output")
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {format_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(format_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -6,34 +6,20 @@ numerical logic lives here.  CSV output uses '.' decimals regardless of
 locale and JSON numbers carry 17 significant digits, so artifacts are
 reproducible across platforms.  Exit codes: 0 on success, 1 when a
 verification verdict or simulation fails, 2 on usage errors.
+
+Each handler imports the layers it runs, so a cold `count` or `moments`
+loads neither numpy nor scipy and `sample`, `render` or `density` no scipy.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
-from .discrete_walk import (
-    WatermelonPath,
-    read_path_csv,
-    sample_path_batch,
-    sample_watermelon,
-    write_path_csv,
-)
-from .exact_count import StarQuery, count_stars, count_watermelons
-from .moments import MomentQuery, evaluate_moment, first_moments_table
-from .sde_sim import SdeConfig, simulate, summarize_batch, trajectory_to_csv
-from .spectral_laws import DensityParams, density_nowall, density_wall
-from .stats_verify import (
-    CheckRecord,
-    DEFAULT_BASE_SEED,
-    TestReport,
-    format_json,
-    report_to_json,
-    run_suite,
-)
+from . import format_json
 
 # matplotlib's familiar 10-color cycle, reused so a p = 10 figure gets
 # one distinct color per branch
@@ -59,7 +45,7 @@ class RenderSpec:
             raise ValueError("render dimensions must be positive")
         if self.margin < 0 or 2 * self.margin >= min(self.width, self.height):
             raise ValueError("margin must leave a positive drawing area")
-        if self.stroke_width <= 0:
+        if not self.stroke_width > 0:
             raise ValueError("stroke width must be positive")
         if not self.colors:
             raise ValueError("need at least one branch color")
@@ -71,9 +57,12 @@ def _fmt(x):
 
 def _parse_floats(text):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+        pass
+    raise ValueError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _parse_ints(text):
@@ -112,6 +101,8 @@ def _print_count(value):
 
 
 def _cmd_count(args):
+    from .exact_count import StarQuery, count_stars, count_watermelons
+
     if (args.n is None) == (args.m is None):
         raise ValueError("count needs exactly one of --n (watermelons) or --m/--e (stars)")
     if args.n is not None:
@@ -125,6 +116,13 @@ def _cmd_count(args):
 
 
 def _cmd_sample(args):
+    from .discrete_walk import (
+        WatermelonPath,
+        sample_path_batch,
+        sample_watermelon,
+        write_path_csv,
+    )
+
     seed = _env_seed(args.seed, 0)
     if args.batch is not None:
         if args.batch < 1:
@@ -151,6 +149,15 @@ def _cmd_sample(args):
 
 
 def _cmd_simulate(args):
+    from .sde_sim import (
+        SdeConfig,
+        _grid,
+        _record_indices,
+        simulate,
+        summarize_batch,
+        trajectory_to_csv,
+    )
+
     cfg = SdeConfig(
         p=args.p,
         wall=args.wall,
@@ -160,8 +167,12 @@ def _cmd_simulate(args):
         max_halvings=args.max_halvings,
         seed=_env_seed(args.seed, 0),
     )
-    if args.summary_out is not None and args.replicas < 2:
-        raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
+    # usage errors first: nothing is integrated or written before these pass
+    if args.summary_out is not None:
+        if args.replicas < 2:
+            raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
+        record = _parse_floats(args.record)
+        _record_indices(_grid(cfg), record)
     traj = simulate(cfg)
     out, close = _open_out(args.out)
     try:
@@ -170,7 +181,6 @@ def _cmd_simulate(args):
         if close:
             out.close()
     if args.summary_out is not None:
-        record = _parse_floats(args.record)
         text = format_json(summarize_batch(cfg, args.replicas, record))
         with open(args.summary_out, "w") as f:
             f.write(text + "\n")
@@ -178,6 +188,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_density(args):
+    from .spectral_laws import DensityParams, density_nowall, density_wall
+
     params = DensityParams(args.p, args.t, args.wall)
     evaluate = density_wall if args.wall else density_nowall
     for chunk in args.x:
@@ -187,6 +199,8 @@ def _cmd_density(args):
 
 
 def _cmd_moments(args):
+    from .moments import MomentQuery, evaluate_moment, first_moments_table
+
     if not args.table and args.order is None:
         raise ValueError("moments needs --table, --order, or both")
     out = {}
@@ -209,6 +223,9 @@ def _cmd_moments(args):
 
 
 def _verify_path_file(args):
+    from .discrete_walk import read_path_csv
+    from .stats_verify import CheckRecord, TestReport
+
     with open(args.from_file, newline="") as f:
         try:
             path = read_path_csv(f, args.wall)
@@ -236,6 +253,8 @@ def _verify_path_file(args):
 
 
 def _cmd_verify(args):
+    from .stats_verify import DEFAULT_BASE_SEED, report_to_json, run_suite
+
     modes = sum(1 for v in (args.default, args.plan, args.from_file) if v)
     if modes != 1:
         raise ValueError("verify needs exactly one of --default, --plan FILE, --from-file CSV")
@@ -304,6 +323,8 @@ def _render_svg(path, spec):
 
 
 def _cmd_render(args):
+    from .discrete_walk import read_path_csv
+
     with open(args.infile, newline="") as f:
         path = read_path_csv(f, args.wall)
     spec = RenderSpec(

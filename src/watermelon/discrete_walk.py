@@ -339,10 +339,21 @@ def write_path_csv(path, fileobj):
 
 
 def read_path_csv(fileobj, wall):
-    """Inverse of write_path_csv; wall is metadata the CSV does not carry."""
+    """Inverse of write_path_csv; wall is metadata the CSV does not carry.
+
+    Raises ValueError on an empty file, on a header other than
+    k,branch_1,...,branch_p, on a k column other than 0, 1, ..., 2n, and
+    on positions that are not a watermelon.
+    """
     reader = csv.reader(fileobj)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty path file")
     p = len(header) - 1
-    rows = [[int(v) for v in row[1:]] for row in reader]
+    if header != ["k"] + [f"branch_{i + 1}" for i in range(p)]:
+        raise ValueError(f"header must be k,branch_1,...,branch_p, got {','.join(header)!r}")
+    rows = [[int(v) for v in row] for row in reader]
+    if [row[:1] for row in rows] != [[k] for k in range(len(rows))]:
+        raise ValueError("the k column must count 0, 1, ..., 2n")
     n = (len(rows) - 1) // 2
-    return WatermelonPath(p=p, n=n, positions=np.array(rows), wall=wall)
+    return WatermelonPath(p=p, n=n, positions=np.array([row[1:] for row in rows]), wall=wall)

@@ -253,7 +253,7 @@ def _record_indices(times: np.ndarray, record_times) -> list[int]:
     idx = []
     for rt in record_times:
         j = int(np.argmin(np.abs(times - rt)))
-        if abs(times[j] - rt) > 1e-9 + 1e-12:
+        if not abs(times[j] - rt) <= 1e-9 + 1e-12:  # NaN is on no grid
             raise ValueError(
                 f"record time {rt} is not on the integration grid "
                 f"(nearest grid point {times[j]:.10g})"

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .discrete_walk import U_BITS, replica_words
 
@@ -137,6 +136,10 @@ def density_nowall(params, x):
 
 def words_to_normals(u):
     """Standard normals ndtri((u + 0.5) / 2^53) from 53-bit integers held as floats, in place."""
+    # imported here, the one scipy call of this module, so the density
+    # and sampling commands never load scipy
+    from scipy.special import ndtri
+
     u += 0.5
     u /= _U_DEN
     return ndtri(u, out=u)

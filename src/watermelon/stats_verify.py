@@ -16,7 +16,6 @@ quadrature CDF before use.  Chi-square critical values invert the same
 function.
 """
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +28,7 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.special import erfc, gamma, gammainc, gammaincc, gammainccinv
 
+from . import format_json
 from .discrete_walk import sample_marginal_batch, sample_path_batch
 from .exact_count import (
     StarQuery,
@@ -262,34 +262,6 @@ class TestReport:
     @property
     def verdict(self):
         return all(r.passed for r in self.records)
-
-
-def format_json(obj):
-    """One-line deterministic JSON with 17-significant-digit floats.
-
-    Keys keep their order and strings go through json.dumps.  NaN and
-    infinities have no JSON form and raise ValueError.
-    """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj} in JSON output")
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {format_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(format_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def report_to_json(report):

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import watermelon
 from watermelon.cli import BRANCH_COLORS, RenderSpec, _fmt, main
 from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
@@ -168,15 +169,26 @@ def test_simulate_summary_of_one_replica_is_a_usage_error(tmp_path, capsys):
     assert not json_file.exists() or "nan" not in json_file.read_text().lower()
 
 
-def test_simulate_usage_error_writes_nothing(tmp_path, capsys):
-    # the replica count is checked before the trajectory is integrated
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--replicas", "1"], "replicas"),
+        (["--record", "1.5"], "grid"),
+        (["--record", "0.5,abc"], "finite numbers"),
+        (["--record", "nan"], "finite numbers"),
+    ],
+    ids=["replicas-1", "record-off-grid", "record-not-a-number", "record-nan"],
+)
+def test_simulate_usage_error_writes_nothing(tmp_path, capsys, extra, message):
+    # the replica count and the record times are checked before the
+    # trajectory is integrated
     csv_file, json_file = tmp_path / "t.csv", tmp_path / "s.json"
     code, _, err = run_cli(
         capsys, "simulate", "--p", "1", "--dt", "0.01", "--out", str(csv_file),
-        "--summary-out", str(json_file), "--replicas", "1",
+        "--summary-out", str(json_file), *extra,
     )
     assert code == 2
-    assert "replicas" in err
+    assert message in err
     assert not csv_file.exists() and not json_file.exists()
 
 
@@ -215,6 +227,14 @@ def test_density_wall_matches_library(capsys):
 def test_density_bad_point_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "density", "--p", "1", "--t", "0.5", "--x", "zero")
     assert code == 2
+    # non-finite coordinates are usage errors, not a density of 0
+    for point, wall in (("nan,1", ["--wall"]), ("inf", []), ("-inf", [])):
+        p = str(len(point.split(",")))
+        code, out, err = run_cli(
+            capsys, "density", "--p", p, "--t", "0.5", *wall, f"--x={point}",
+        )
+        assert code == 2, point
+        assert out == "" and "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +335,26 @@ def test_verify_from_file_rejects_corruption(tmp_path, capsys):
     assert "invalid path file" in err
 
 
+# path files that read_path_csv must refuse; the last holds a valid p = 1
+# path under a k column that is not 0, 1, 2
+MALFORMED_PATH_FILES = {
+    "empty": "",
+    "foreign-header": "t,x_1\n0,0\n1,1\n2,0\n",
+    "k-shuffled": "k,branch_1\n7,0\n9,1\n5,0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_PATH_FILES.values(), ids=MALFORMED_PATH_FILES)
+def test_verify_from_file_rejects_malformed_files(tmp_path, capsys, text):
+    path_file = tmp_path / "bad.csv"
+    path_file.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--from-file", str(path_file), "--wall")
+    assert code == 1
+    (record,) = json.loads(out)["checks"]
+    assert record["name"] == "path_file_invariants" and record["passed"] is False
+    assert "invalid path file" in err
+
+
 def test_verify_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "verify")[0] == 2
     plan = tmp_path / "plan.json"
@@ -376,13 +416,23 @@ def test_render_missing_file_is_usage_error(capsys):
     assert run_cli(capsys, "render", "/nonexistent/file.csv")[0] == 2
 
 
+@pytest.mark.parametrize("text", MALFORMED_PATH_FILES.values(), ids=MALFORMED_PATH_FILES)
+def test_render_malformed_file_is_usage_error(tmp_path, capsys, text):
+    path_file = tmp_path / "bad.csv"
+    path_file.write_text(text)
+    code, out, err = run_cli(capsys, "render", str(path_file))
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_render_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         RenderSpec(width=0)
     with pytest.raises(ValueError, match="margin"):
         RenderSpec(width=100, height=100, margin=60)
-    with pytest.raises(ValueError, match="stroke"):
-        RenderSpec(stroke_width=0.0)
+    for width in (0.0, math.nan):
+        with pytest.raises(ValueError, match="stroke"):
+            RenderSpec(stroke_width=width)
     with pytest.raises(ValueError, match="color"):
         RenderSpec(colors=())
 
@@ -398,6 +448,8 @@ def test_unknown_subcommand_exits_two():
 
 
 def test_json_float_formatting():
+    # one writer, defined at the package root and re-exported by stats_verify
+    assert format_json is watermelon.format_json
     assert _fmt(0.1) == "0.10000000000000001"
     assert format_json({"a": [1, 0.5, True, None, "s"]}) == (
         '{"a": [1, 0.5, true, null, "s"]}'
@@ -409,13 +461,41 @@ def test_json_float_formatting():
             format_json({"x": [bad]})
 
 
-def test_console_entrypoint_subprocess():
-    script = (
-        "import sys; sys.argv = ['watermelon', 'count', '--p', '1', '--n', '3', "
-        "'--wall']; from watermelon.cli import entrypoint; entrypoint()"
-    )
+# runs the console entry point, then lists on its last stderr line the
+# numerical libraries the call loaded
+ENTRYPOINT_SCRIPT = """
+import sys
+sys.argv[0] = 'watermelon'
+from watermelon.cli import entrypoint
+try:
+    entrypoint()
+finally:
+    print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expect, unloaded",
+    [
+        (["count", "--p", "1", "--n", "3", "--wall"], "5\n", {"numpy", "scipy"}),
+        (["moments", "--table"], '{"normalized_table": [', {"numpy", "scipy"}),
+        (["sample", "--p", "2", "--n", "3", "--seed", "1"], "k,branch_1,branch_2", {"scipy"}),
+        (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy"}),
+        (["render", "{path}", "--wall"], "<svg", {"scipy"}),
+    ],
+    ids=["count", "moments", "sample", "density", "render"],
+)
+def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded):
+    # each subcommand imports only the layers it runs
+    path_file = tmp_path / "melon.csv"
+    run_cli(capsys, "sample", "--p", "2", "--n", "3", "--wall", "--out", str(path_file))
+    argv = [a.format(path=path_file) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", ENTRYPOINT_SCRIPT, *argv],
+        capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "5\n"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(expect)
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert not loaded & unloaded, f"{argv[0]} loaded {sorted(loaded & unloaded)}"

@@ -326,3 +326,20 @@ def test_csv_round_trip():
     back = read_path_csv(io.StringIO(text), wall=True)
     assert back.p == 2 and back.n == 5
     assert np.array_equal(back.positions, path.positions)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty"),
+        ("t,x_1\n0,0\n1,1\n2,0\n", "header"),
+        ("k,branch_2\n0,0\n1,1\n2,0\n", "header"),
+        # a valid p = 1 path whose k column is not the time grid
+        ("k,branch_1\n7,0\n9,1\n5,0\n", "k column"),
+        ("k,branch_1\n0,0\n2,1\n4,0\n", "k column"),
+    ],
+    ids=["empty", "foreign-header", "misnumbered-branch", "k-shuffled", "k-skips"],
+)
+def test_csv_reader_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_path_csv(io.StringIO(text), wall=True)
