@@ -13,12 +13,14 @@ package provides
 * a deterministic statistical verification suite tying all of it together.
 
 format_json, the one JSON writer of reports and CLI output, lives here
-and imports only the standard library, so a subcommand that writes JSON
+with the report types (CheckRecord, TestReport, report_to_json) and imports
+only the standard library, so a subcommand that writes JSON or a report
 loads no numerical layer it does not run.
 """
 
 import json
 import math
+from dataclasses import asdict, dataclass
 
 __version__ = "0.1.0"
 
@@ -30,7 +32,10 @@ __all__ = [
     "moments",
     "stats_verify",
     "cli",
+    "CheckRecord",
+    "TestReport",
     "format_json",
+    "report_to_json",
 ]
 
 
@@ -60,3 +65,40 @@ def format_json(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(format_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    name: str
+    statistic: float
+    threshold: float
+    passed: bool
+    sample_size: int
+    seed: int
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class TestReport:
+    records: tuple
+
+    @property
+    def verdict(self):
+        return all(r.passed for r in self.records)
+
+
+def report_to_json(report):
+    """Deterministic JSON: fixed key order, 17 significant digits, sorted records.
+
+    Each record is one format_json row, in CheckRecord field order.
+    """
+    lines = ['{', '  "schema": "watermelon-report-1",']
+    lines.append(f'  "verdict": {"true" if report.verdict else "false"},')
+    lines.append('  "checks": [')
+    records = sorted(report.records, key=lambda r: r.name)
+    for i, r in enumerate(records):
+        row = "    " + format_json(asdict(r))
+        lines.append(row + ("," if i + 1 < len(records) else ""))
+    lines.append('  ]')
+    lines.append('}')
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ reproducible across platforms.  Exit codes: 0 on success, 1 when a
 verification verdict or simulation fails, 2 on usage errors.
 
 Each handler imports the layers it runs, so a cold `count` or `moments`
-loads neither numpy nor scipy and `sample`, `render` or `density` no scipy.
+loads neither numpy nor scipy, and `sample`, `render`, `density` or
+`verify --from-file` no scipy.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
-from . import format_json
+from . import CheckRecord, TestReport, format_json, report_to_json
 
 # matplotlib's familiar 10-color cycle, reused so a p = 10 figure gets
 # one distinct color per branch
@@ -129,8 +130,9 @@ def _cmd_sample(args):
             raise ValueError("--batch must be positive")
         if args.out is None:
             raise ValueError("--batch needs --out DIRECTORY")
-        os.makedirs(args.out, exist_ok=True)
+        # drawn before the directory is made, so a usage error leaves none
         block = sample_path_batch(args.p, args.n, args.wall, seed, args.batch)
+        os.makedirs(args.out, exist_ok=True)
         for r in range(args.batch):
             path = WatermelonPath(p=args.p, n=args.n, positions=block[r], wall=args.wall)
             name = os.path.join(args.out, f"watermelon_{r:04d}.csv")
@@ -224,43 +226,35 @@ def _cmd_moments(args):
 
 def _verify_path_file(args):
     from .discrete_walk import read_path_csv
-    from .stats_verify import CheckRecord, TestReport
 
     with open(args.from_file, newline="") as f:
         try:
             path = read_path_csv(f, args.wall)
-            record = CheckRecord(
-                name="path_file_invariants",
-                statistic=0.0,
-                threshold=0.5,
-                passed=True,
-                sample_size=2 * path.n + 1,
-                seed=0,
-                detail="stored path satisfies the walk invariants",
-            )
         except ValueError as err:
             print(f"invalid path file: {err}", file=sys.stderr)
-            record = CheckRecord(
-                name="path_file_invariants",
-                statistic=1.0,
-                threshold=0.5,
-                passed=False,
-                sample_size=0,
-                seed=0,
-                detail="stored path violates the walk invariants",
-            )
+            path = None
+    ok = path is not None
+    record = CheckRecord(
+        name="path_file_invariants",
+        statistic=0.0 if ok else 1.0,
+        threshold=0.5,
+        passed=ok,
+        sample_size=2 * path.n + 1 if ok else 0,
+        seed=0,
+        detail=f"stored path {'satisfies' if ok else 'violates'} the walk invariants",
+    )
     return TestReport(records=(record,))
 
 
 def _cmd_verify(args):
-    from .stats_verify import DEFAULT_BASE_SEED, report_to_json, run_suite
-
     modes = sum(1 for v in (args.default, args.plan, args.from_file) if v)
     if modes != 1:
         raise ValueError("verify needs exactly one of --default, --plan FILE, --from-file CSV")
     if args.from_file:
         report = _verify_path_file(args)
     else:
+        from .stats_verify import DEFAULT_BASE_SEED, run_suite
+
         if args.plan:
             with open(args.plan) as f:
                 plan = json.load(f)
@@ -441,3 +435,7 @@ def main(argv=None):
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -21,10 +21,14 @@ over the factors gives weights bit-identical to multiplying them in the
 order of step_weights.  A step therefore costs the same handful of numpy
 calls whatever p is.
 
-Randomness: numpy's PCG64 underlies everything.  Replica r of a batch
-draws from Generator(PCG64(SeedSequence((base_seed, r)))), and the scalar
-sampler with seed s is bit-identical to replica 0 under base seed s.  Each
-replica reads one 53-bit integer per time step (replica_words); the
+Randomness: numpy's PCG64 underlies everything, and this module is the one
+home of its streams.  derive_replica_rng names three kinds:
+PCG64(SeedSequence((base, r))) for replica r of a lattice batch and of a
+spectral draw, and (seed, r, 0) and (seed, r, 1) for the base and rescue
+streams of an SDE replica.  words is the one reader of them: a 53-bit draw
+is one raw 64-bit word >> 11, word for word numpy's integers(0, 2**53).
+The scalar sampler with seed s is bit-identical to replica 0 under base
+seed s.  Each replica reads one draw per time step (replica_words); the
 inverse-CDF selection compares these integers against exact scaled
 cumulative weights (scalar path) or float cumulative weights (batch path),
 with ties resolving to the lower move index.  Moves are indexed by bit
@@ -46,20 +50,27 @@ _U_DEN = 1 << U_BITS
 DEFAULT_CHUNK = 1024
 
 
-def derive_replica_rng(base_seed, replica):
-    """The named per-replica stream: PCG64 seeded by SeedSequence((base, r))."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((base_seed, replica))))
+def derive_replica_rng(base_seed, replica, *stream):
+    """The named per-replica stream: PCG64 seeded by SeedSequence((base, r, *stream))."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((base_seed, replica, *stream)))
+    )
+
+
+def words(rng, count):
+    """The next count draws of integers(0, 2**53) on rng, as uint64.
+
+    One draw is one raw 64-bit word >> 11: integers(0, 2**53) never rejects
+    on that range, so both read the same words.
+    """
+    return rng.bit_generator.random_raw(count) >> (64 - U_BITS)
 
 
 def replica_words(base_seed, replica, count, skip=0):
-    """Draws skip .. skip+count-1 of integers(0, 2**53) on replica stream r, as uint64.
-
-    One draw is one raw 64-bit word >> 11 (integers(0, 2**53) never rejects
-    on that range), so skipping draws is advancing the stream by as many
-    words.
-    """
-    bits = derive_replica_rng(base_seed, replica).bit_generator.advance(skip)
-    return bits.random_raw(count) >> (64 - U_BITS)
+    """Draws skip .. skip+count-1 of replica stream r; skipping a draw skips one word."""
+    rng = derive_replica_rng(base_seed, replica)
+    rng.bit_generator.advance(skip)
+    return words(rng, count)
 
 
 def _moves(p):
@@ -235,7 +246,7 @@ def _move_weights(a, z):
     return np.multiply.reduce(fac.reshape(-1, 1 << p, b), axis=0)
 
 
-def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk, start=None):
+def _batch_core(p, n, wall, base_seed, replicas, k_indices, chunk, start=None):
     if p < 1 or n < 1 or replicas < 1:
         raise ValueError("need p >= 1, n >= 1, replicas >= 1")
     two_n = 2 * n
@@ -248,16 +259,12 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
         raise ValueError("snapshot indices must lie in [start step, 2n]")
     k_slot = {k: s for s, k in enumerate(ks)}
     # nothing reads the chain past its last snapshot
-    k_end = two_n if collect_paths else max(ks, default=k0)
+    k_end = max(ks, default=k0)
 
     a = _factor_matrix(p, wall)
     moves = np.array(_moves(p), dtype=float).T  # (p, 2^p)
 
     snaps = np.empty((replicas, len(ks), p), dtype=np.int64)
-    paths = np.empty((replicas, two_n + 1, p), dtype=np.int64) if collect_paths else None
-    if collect_paths and paths.size > 60_000_000:
-        raise ValueError("path collection for this batch would be too large; "
-                         "use snapshots instead")
     pinned = np.arange(0, 2 * p, 2, dtype=np.int64)
 
     for lo in range(0, replicas, chunk):
@@ -276,8 +283,6 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
         x = z[:p]
         if k0 in k_slot:
             snaps[lo:hi, k_slot[k0]] = x.T
-        if collect_paths:
-            paths[lo:hi, 0] = x.T
         for k in range(k0, k_end):
             # The weights equal, bit for bit, the product of step_weights'
             # factors taken left to right:
@@ -296,9 +301,7 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, collect_paths, chunk
             x += moves.take(j, axis=1)
             if k + 1 in k_slot:
                 snaps[lo:hi, k_slot[k + 1]] = x.T
-            if collect_paths:
-                paths[lo:hi, k + 1] = x.T
-    return snaps, paths
+    return snaps
 
 
 def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
@@ -320,14 +323,14 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     be at least k0.  Continuing from a snapshot of an earlier call with the
     same base seed gives, bit for bit, the snapshots of one uninterrupted run.
     """
-    snaps, _ = _batch_core(p, n, wall, base_seed, replicas, k_indices, False, chunk, start)
-    return snaps
+    return _batch_core(p, n, wall, base_seed, replicas, k_indices, chunk, start)
 
 
 def sample_path_batch(p, n, wall, base_seed, replicas, chunk=DEFAULT_CHUNK):
-    """Full integer paths for a small batch, shape (replicas, 2n+1, p)."""
-    _, paths = _batch_core(p, n, wall, base_seed, replicas, (), True, chunk)
-    return paths
+    """Full integer paths for a small batch, shape (replicas, 2n+1, p): a snapshot per step."""
+    if replicas * (2 * n + 1) * p > 60_000_000:
+        raise ValueError("full paths for this batch would be too large; use snapshots instead")
+    return _batch_core(p, n, wall, base_seed, replicas, range(2 * n + 1), chunk)
 
 
 def write_path_csv(path, fileobj):

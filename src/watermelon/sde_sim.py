@@ -12,12 +12,14 @@ abandoned and the step is split into two halves with freshly drawn
 increments, recursively up to max_halvings.
 
 Randomness.  Replica r consumes two private streams derived from the
-configured seed: (seed, r, 0) drives the base-grid increments, (seed, r, 1)
-is touched only when a rejection forces redraws.  Keeping the rescue draws
-out of the base stream makes results independent of chunking and lets the
-one-trajectory path reuse the batch machinery verbatim.  Gaussians come
-from the inverse normal CDF applied to 53-bit uniforms, the same mapping
-the spectral samplers use.
+configured seed, both named by discrete_walk.derive_replica_rng: (seed, r, 0)
+drives the base-grid increments, (seed, r, 1) is touched only when a
+rejection forces redraws.  The initial state reads the spectral streams
+(seed, r).  Keeping the rescue draws out of the base stream makes results
+independent of chunking and lets the one-trajectory path reuse the batch
+machinery verbatim.  Every draw is a 53-bit integer read by
+discrete_walk.words, and Gaussians come from the inverse normal CDF applied
+to it, the same mapping the spectral samplers use.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_walk import U_BITS
+from .discrete_walk import derive_replica_rng, words
 from .spectral_laws import (
     sample_gue_spectrum_batch,
     sample_wall_spectrum_batch,
@@ -206,18 +208,6 @@ def _margin_rows(p: int, wall: bool, y: np.ndarray):
     return m
 
 
-def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    return words_to_normals(rng.integers(0, 1 << U_BITS, size=shape).astype(np.float64))
-
-
-def _base_rng(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica, 0))))
-
-
-def _rescue_rng(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica, 1))))
-
-
 def _advance_scalar(
     cfg: SdeConfig,
     x: np.ndarray,
@@ -228,7 +218,7 @@ def _advance_scalar(
 ) -> np.ndarray:
     """One rescued step of size h from time s, splitting further on rejection."""
     drift = _drift_rows(cfg.p, cfg.wall, s, x[:, None])[:, 0]
-    y = x + drift * h + math.sqrt(h) * _normals(rng, cfg.p)
+    y = x + drift * h + math.sqrt(h) * words_to_normals(words(rng, cfg.p).astype(np.float64))
     m = _margin_rows(cfg.p, cfg.wall, y[:, None])
     if m is None or m[0] >= cfg.gap_floor:
         return y
@@ -275,25 +265,15 @@ def _initial_state(cfg: SdeConfig, replicas: int) -> np.ndarray:
     return scale * draw
 
 
-def _integrate(
-    cfg: SdeConfig,
-    replicas: int,
-    record_times,
-    collect_full: bool,
-    chunk: int,
-):
+def _integrate(cfg: SdeConfig, replicas: int, rec_indices, chunk: int):
+    """(snapshots at the grid indices rec_indices, shape (replicas, len, p), rescued steps)."""
     times = _grid(cfg)
-    rec = _record_indices(times, record_times)
-    rec_slot = {j: s for s, j in enumerate(sorted(set(rec)))}
-    # without full paths nothing reads the state past the last record time
-    n_steps = len(times) - 1 if collect_full else max(rec, default=0)
-
-    if collect_full and replicas * len(times) * cfg.p > 4_000_000:
-        raise ValueError("full-path collection is only supported for small batches")
+    rec_slot = {j: s for s, j in enumerate(sorted(set(rec_indices)))}
+    # nothing reads the state past the last record index
+    n_steps = max(rec_indices, default=0)
 
     p, wall, floor = cfg.p, cfg.wall, cfg.gap_floor
     snaps = np.empty((replicas, len(rec_slot), p))
-    full = np.empty((replicas, len(times), p)) if collect_full else None
     n_rescued = 0
 
     x0 = _initial_state(cfg, replicas)
@@ -307,22 +287,18 @@ def _integrate(
         # the exact initial draw can in principle sit closer to the boundary
         # than gap_floor; it is still a valid chamber point, and the first
         # accepted step is required to clear the floor
-        if collect_full:
-            full[lo:hi, 0] = x.T
         if 0 in rec_slot:
             snaps[lo:hi, rec_slot[0]] = x.T
         rescues = [None] * b
-        base = [_base_rng(cfg.seed, r) for r in range(lo, hi)]
+        base = [derive_replica_rng(cfg.seed, r, 0) for r in range(lo, hi)]
         for k0 in range(0, n_steps, block):
             k1 = min(k0 + block, n_steps)
             ts = times[k0:k1 + 1].tolist()
             # one draw per replica and block, turned into sqrt(h)-scaled
-            # increments in one pass; g[:, k - k0] is the (p, b) increment.  A raw
-            # word >> 11 is integers(0, 2**53): on that range Lemire's method never rejects
+            # increments in one pass; g[:, k - k0] is the (p, b) increment
             g = np.empty((p, k1 - k0, b))
             for i in range(b):
-                raw = base[i].bit_generator.random_raw((k1 - k0) * p) >> (64 - U_BITS)
-                g[:, :, i] = raw.reshape(k1 - k0, p).T
+                g[:, :, i] = words(base[i], (k1 - k0) * p).reshape(k1 - k0, p).T
             words_to_normals(g)
             g *= np.sqrt(np.diff(ts))[:, None]
             for k in range(k0, k1):
@@ -337,27 +313,28 @@ def _integrate(
                 if m is not None and (m < floor).any():
                     for i in np.flatnonzero(m < floor):
                         if rescues[i] is None:
-                            rescues[i] = _rescue_rng(cfg.seed, lo + i)
+                            rescues[i] = derive_replica_rng(cfg.seed, lo + i, 1)
                         half = 0.5 * h
                         mid = _advance_scalar(cfg, x[:, i], t, half, rescues[i], 1)
                         y[:, i] = _advance_scalar(cfg, mid, t + half, half, rescues[i], 1)
                         n_rescued += 1
                 x = y
-                if collect_full:
-                    full[lo:hi, k + 1] = x.T
                 if k + 1 in rec_slot:
                     snaps[lo:hi, rec_slot[k + 1]] = x.T
-    out = snaps[:, [rec_slot[j] for j in rec]]
-    return times, out, full, n_rescued
+    return snaps[:, [rec_slot[j] for j in rec_indices]], n_rescued
 
 
 def simulate(config: SdeConfig) -> Trajectory:
     """Integrate one trajectory over the full base grid.
 
-    Identical to replica 0 of a batch with the same configuration.
+    Identical to replica 0 of a batch with the same configuration: its
+    snapshot at every grid index.
     """
-    times, _, full, _ = _integrate(config, 1, (), collect_full=True, chunk=1)
-    return Trajectory(times=times, values=full[0], wall=config.wall)
+    times = _grid(config)
+    if len(times) * config.p > 4_000_000:
+        raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
+    snaps, _ = _integrate(config, 1, range(len(times)), chunk=1)
+    return Trajectory(times=times, values=snaps[0], wall=config.wall)
 
 
 def simulate_batch(
@@ -378,9 +355,8 @@ def simulate_batch(
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
-    _, snaps, _, n_rescued = _integrate(
-        config, replicas, record_times, collect_full=False, chunk=chunk
-    )
+    rec = _record_indices(_grid(config), record_times)
+    snaps, n_rescued = _integrate(config, replicas, rec, chunk)
     if with_diagnostics:
         return snaps, {"rescued_steps": n_rescued}
     return snaps

@@ -43,9 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_walk import U_BITS, replica_words
-
-_U_DEN = float(1 << U_BITS)
+from .discrete_walk import _U_DEN, replica_words
 
 
 @dataclass(frozen=True)

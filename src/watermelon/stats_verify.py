@@ -19,7 +19,6 @@ function.
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from hashlib import sha256
 from itertools import product
@@ -28,7 +27,9 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.special import erfc, gamma, gammainc, gammaincc, gammainccinv
 
-from . import format_json
+# the report types and the JSON writer live at the package root;
+# format_json and report_to_json are re-exported from here
+from . import CheckRecord, TestReport, format_json, report_to_json  # noqa: F401
 from .discrete_walk import sample_marginal_batch, sample_path_batch
 from .exact_count import (
     StarQuery,
@@ -238,47 +239,6 @@ def derive_check_seed(base_seed, name):
     """Per-check seed: stable hash of the base seed and the check name."""
     digest = sha256(f"{base_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    statistic: float
-    threshold: float
-    passed: bool
-    sample_size: int
-    seed: int
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TestReport:
-    records: tuple
-
-    @property
-    def verdict(self):
-        return all(r.passed for r in self.records)
-
-
-def report_to_json(report):
-    """Deterministic JSON: fixed key order, 17 significant digits, sorted records.
-
-    Each record is one format_json row, in CheckRecord field order.
-    """
-    lines = ['{', '  "schema": "watermelon-report-1",']
-    lines.append(f'  "verdict": {"true" if report.verdict else "false"},')
-    lines.append('  "checks": [')
-    records = sorted(report.records, key=lambda r: r.name)
-    for i, r in enumerate(records):
-        row = "    " + format_json(asdict(r))
-        lines.append(row + ("," if i + 1 < len(records) else ""))
-    lines.append('  ]')
-    lines.append('}')
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +464,7 @@ def _check_count_oracle_sweep(params, base_seed, tolerance):
             cases,
             0,
             detail=(
-                "closed-form vs exhaustive star counts, p <= 3, m <= 8, "
+                f"closed-form vs exhaustive star counts, p <= 3, m <= {max_steps}, "
                 "both ensembles, every admissible endpoint"
             ),
         ),
@@ -746,7 +706,7 @@ def _check_moment_mc(params, base_seed, tolerance):
             seed,
             detail=(
                 "worst |z| of sample vs closed-form branch moments, "
-                "orders 1..4, both branches, t = 1/2"
+                f"orders 1..{max_order}, both branches, t = 1/2"
             ),
         )
     ]
@@ -862,6 +822,12 @@ def _check_sde_time_symmetry(params, base_seed, tolerance):
     ]
 
 
+def _power_of_ten(n):
+    """n as 1eK when it is a power of ten, else in plain digits."""
+    digits = str(n)
+    return f"1e{len(digits) - 1}" if digits.rstrip("0") == "1" else digits
+
+
 def _check_stirling_error_decay(params, base_seed, tolerance):
     ns = tuple(int(v) for v in params.get("grid_sizes", (100, 1000, 10_000)))
     thr = 5.0 if tolerance is None else float(tolerance)
@@ -892,7 +858,8 @@ def _check_stirling_error_decay(params, base_seed, tolerance):
             0,
             detail=(
                 "max of relative error times sqrt(n) over the (a, b, c, d, t) "
-                "grid, n in (1e2, 1e3, 1e4); b is snapped to the lattice"
+                f"grid, n in ({', '.join(map(_power_of_ten, ns))}); "
+                "b is snapped to the lattice"
             ),
         ),
         _record(

@@ -128,6 +128,18 @@ def test_sample_batch_directory(tmp_path, capsys):
         assert path.p == 1 and path.n == 3
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--p", "2", "--n", "0", "--batch", "2"], ["--p", "3", "--n", "20000000", "--batch", "1"]],
+    ids=["n-zero", "oversized"],
+)
+def test_sample_batch_usage_error_makes_no_directory(tmp_path, capsys, extra):
+    out_dir = tmp_path / "batch"
+    code, _, err = run_cli(capsys, "sample", *extra, "--out", str(out_dir))
+    assert code == 2 and err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_sample_batch_needs_out(capsys):
     code, _, _ = run_cli(capsys, "sample", "--p", "1", "--n", "3", "--batch", "2")
     assert code == 2
@@ -483,8 +495,9 @@ finally:
         (["sample", "--p", "2", "--n", "3", "--seed", "1"], "k,branch_1,branch_2", {"scipy"}),
         (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy"}),
         (["render", "{path}", "--wall"], "<svg", {"scipy"}),
+        (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ', {"scipy"}),
     ],
-    ids=["count", "moments", "sample", "density", "render"],
+    ids=["count", "moments", "sample", "density", "render", "verify-from-file"],
 )
 def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded):
     # each subcommand imports only the layers it runs
@@ -499,3 +512,12 @@ def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded)
     assert proc.stdout.startswith(expect)
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert not loaded & unloaded, f"{argv[0]} loaded {sorted(loaded & unloaded)}"
+
+
+def test_module_run_is_the_cli():
+    # python -m watermelon.cli runs the same entry point
+    proc = subprocess.run(
+        [sys.executable, "-m", "watermelon.cli", "count", "--p", "1", "--n", "3", "--wall"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from watermelon import discrete_walk
 from watermelon.discrete_walk import (
     WatermelonPath,
     _factor_matrix,
@@ -307,6 +308,24 @@ def test_marginal_batch_golden_bytes(p, wall):
     n = 64
     snaps = sample_marginal_batch(p, n, wall, 20260824 + p, 37, (0, 1, n, 2 * n), chunk=16)
     assert array_digest(snaps) == GOLDEN_MARGINALS[(p, wall)]
+
+
+class ChainReached(Exception):
+    pass
+
+
+def test_path_batch_size_cap_comes_before_the_chain(monkeypatch):
+    # full paths hold at most 60,000,000 elements: 128 * (2 * 117,187 + 1) * 2
+    # is exactly that; a larger batch is refused before any step is drawn
+    def chain(*args):
+        raise ChainReached
+
+    monkeypatch.setattr(discrete_walk, "_batch_core", chain)
+    with pytest.raises(ChainReached):
+        sample_path_batch(2, 117_187, True, 0, 128)
+    for p, n, replicas in ((2, 117_187, 129), (3, 20_000_000, 1)):
+        with pytest.raises(ValueError, match="too large"):
+            sample_path_batch(p, n, True, 0, replicas)
 
 
 def test_path_batch_golden_bytes():

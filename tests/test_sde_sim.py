@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from watermelon import sde_sim
 from watermelon.sde_sim import (
     HalvingError,
     SdeConfig,
@@ -16,8 +17,8 @@ from watermelon.sde_sim import (
     simulate_batch,
     summarize_batch,
     trajectory_to_csv,
-    _base_rng,
 )
+from watermelon.discrete_walk import derive_replica_rng, words
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +216,12 @@ def test_simulate_golden_bytes():
 
 @pytest.mark.parametrize("seed,replica", [(0, 0), (7, 3), (20260824, 9999)])
 def test_base_stream_raw_words_match_bounded_integers(seed, replica):
-    # the Euler blocks read the top 53 bits of raw words; this pins that
-    # numpy's integers(0, 2**53) is that same value, word for word, so a
-    # change of numpy's bounded-integer algorithm fails here first
-    want = _base_rng(seed, replica).integers(0, 1 << 53, size=(3, 512, 2))
-    raw = _base_rng(seed, replica).bit_generator.random_raw(3 * 512 * 2) >> 11
+    # the Euler blocks read the base stream (seed, r, 0) through words, the
+    # top 53 bits of raw words; this pins that numpy's integers(0, 2**53) is
+    # that same value, word for word, so a change of numpy's bounded-integer
+    # algorithm fails here first
+    want = derive_replica_rng(seed, replica, 0).integers(0, 1 << 53, size=(3, 512, 2))
+    raw = words(derive_replica_rng(seed, replica, 0), 3 * 512 * 2)
     assert np.array_equal(raw.reshape(3, 512, 2), want)
 
 
@@ -300,6 +302,24 @@ def test_halving_budget_exhaustion():
         assert err.min_gap < 5.0
         assert 0.0 < err.time < 1.0
         assert err.position.shape == (2,)
+
+
+class IntegrationReached(Exception):
+    pass
+
+
+def test_simulate_size_cap_comes_before_integration(monkeypatch):
+    # one trajectory holds at most 4,000,000 grid values times p; a finer
+    # grid is refused before anything is integrated
+    def integrate(*args, **kwargs):
+        raise IntegrationReached
+
+    monkeypatch.setattr(sde_sim, "_integrate", integrate)
+    span = 1.0 - 2.0 * 0.02
+    with pytest.raises(IntegrationReached):  # 999,991 grid values, p = 4
+        simulate(SdeConfig(p=4, wall=False, dt=span / 999_990))
+    with pytest.raises(ValueError, match="too large"):  # 1,000,011 grid values
+        simulate(SdeConfig(p=4, wall=False, dt=span / 1_000_010))
 
 
 def test_rescue_diagnostics_counted():

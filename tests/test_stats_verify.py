@@ -390,6 +390,19 @@ def test_run_suite_empty_plan_passes_vacuously():
     assert report.verdict is True
 
 
+def test_record_details_name_the_parameters_that_ran(monkeypatch):
+    monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
+    plan = [
+        {"check": "count_oracle_sweep", "params": {"max_steps": 2}},
+        {"check": "moment_mc", "params": {"source": "sde_sim", "wall": False, "max_order": 2}},
+        {"check": "stirling_error_decay", "params": {"grid_sizes": [50, 500]}},
+    ]
+    details = {r.name: r.detail for r in run_suite(plan=plan, base_seed=77).records}
+    assert ", m <= 2," in details["count_oracle_sweep/equality"]
+    assert " orders 1..2," in details["moment_mc/sde/nowall"]
+    assert " n in (50, 500);" in details["stirling_error_decay/bound"]
+
+
 def test_source_groups_of_default_plan():
     groups = stats_verify._source_groups(stats_verify.DEFAULT_PLAN)
     # plan order is kept, and every source is read by exactly one group
