@@ -26,6 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "exact_count",
+    "paths",
     "discrete_walk",
     "spectral_laws",
     "sde_sim",

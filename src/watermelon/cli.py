@@ -7,9 +7,9 @@ locale and JSON numbers carry 17 significant digits, so artifacts are
 reproducible across platforms.  Exit codes: 0 on success, 1 when a
 verification verdict or simulation fails, 2 on usage errors.
 
-Each handler imports the layers it runs, so a cold `count` or `moments`
-loads neither numpy nor scipy, and `sample`, `render`, `density` or
-`verify --from-file` no scipy.
+Each handler imports the layers it runs, so a cold `count`, `moments`,
+`render` or `verify --from-file` loads neither numpy nor scipy, and
+`sample` or `density` no scipy.
 """
 
 import argparse
@@ -117,12 +117,8 @@ def _cmd_count(args):
 
 
 def _cmd_sample(args):
-    from .discrete_walk import (
-        WatermelonPath,
-        sample_path_batch,
-        sample_watermelon,
-        write_path_csv,
-    )
+    from .discrete_walk import sample_path_batch, sample_watermelon
+    from .paths import WatermelonPath, write_path_csv
 
     seed = _env_seed(args.seed, 0)
     if args.batch is not None:
@@ -134,7 +130,7 @@ def _cmd_sample(args):
         block = sample_path_batch(args.p, args.n, args.wall, seed, args.batch)
         os.makedirs(args.out, exist_ok=True)
         for r in range(args.batch):
-            path = WatermelonPath(p=args.p, n=args.n, positions=block[r], wall=args.wall)
+            path = WatermelonPath(p=args.p, n=args.n, positions=block[r].tolist(), wall=args.wall)
             name = os.path.join(args.out, f"watermelon_{r:04d}.csv")
             with open(name, "w", newline="") as f:
                 write_path_csv(path, f)
@@ -225,7 +221,7 @@ def _cmd_moments(args):
 
 
 def _verify_path_file(args):
-    from .discrete_walk import read_path_csv
+    from .paths import read_path_csv
 
     with open(args.from_file, newline="") as f:
         try:
@@ -276,11 +272,11 @@ def _cmd_verify(args):
 
 def _render_svg(path, spec):
     k_max = 2 * path.n
-    vals = path.positions.astype(float)
-    lo = float(vals.min())
+    rows = path.positions
+    lo = float(min(map(min, rows)))
     if spec.wall_axis:
         lo = min(lo, 0.0)
-    hi = float(vals.max())
+    hi = float(max(map(max, rows)))
     if hi <= lo:
         hi = lo + 1.0
     inner_w = spec.width - 2 * spec.margin
@@ -304,9 +300,7 @@ def _render_svg(path, spec):
             f'y2="{y0:.2f}" stroke="#444444" stroke-width="1" />'
         )
     for b in range(path.p):
-        pts = " ".join(
-            f"{sx(k):.2f},{sy(float(vals[k, b])):.2f}" for k in range(k_max + 1)
-        )
+        pts = " ".join(f"{sx(k):.2f},{sy(row[b]):.2f}" for k, row in enumerate(rows))
         color = spec.colors[b % len(spec.colors)]
         lines.append(
             f'<polyline fill="none" stroke="{color}" '
@@ -317,7 +311,7 @@ def _render_svg(path, spec):
 
 
 def _cmd_render(args):
-    from .discrete_walk import read_path_csv
+    from .paths import read_path_csv
 
     with open(args.infile, newline="") as f:
         path = read_path_csv(f, args.wall)

@@ -33,14 +33,18 @@ inverse-CDF selection compares these integers against exact scaled
 cumulative weights (scalar path) or float cumulative weights (batch path),
 with ties resolving to the lower move index.  Moves are indexed by bit
 mask: bit i set means branch i steps up.
+
+sample_watermelon returns a WatermelonPath, whose rows are plain integer
+tuples.  That type and the path CSV reader and writer live in paths, which
+needs only the standard library, and are re-exported here.
 """
 
-import csv
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .paths import WatermelonPath, read_path_csv, write_path_csv  # noqa: F401
 
 U_BITS = 53
 _U_DEN = 1 << U_BITS
@@ -139,33 +143,6 @@ def _cdf_table(p, n, wall, k, x):
     return tuple(cum), total
 
 
-@dataclass(frozen=True)
-class WatermelonPath:
-    """One discrete watermelon: integer branch positions on the time grid 0..2n."""
-
-    p: int
-    n: int
-    positions: np.ndarray
-    wall: bool
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.int64)
-        object.__setattr__(self, "positions", pos)
-        if self.p < 1 or self.n < 1:
-            raise ValueError("need p >= 1 and n >= 1")
-        if pos.shape != (2 * self.n + 1, self.p):
-            raise ValueError(f"positions shape {pos.shape} != {(2 * self.n + 1, self.p)}")
-        start = np.arange(0, 2 * self.p, 2)
-        if not (np.array_equal(pos[0], start) and np.array_equal(pos[-1], start)):
-            raise ValueError("endpoints must be pinned at (0, 2, ..., 2p-2)")
-        if self.p > 1 and not (pos[:, :-1] < pos[:, 1:]).all():
-            raise ValueError("branches must stay strictly ordered")
-        if not (np.abs(np.diff(pos, axis=0)) == 1).all():
-            raise ValueError("every step must move each branch by exactly one")
-        if self.wall and pos.min() < 0:
-            raise ValueError("wall paths must stay nonnegative")
-
-
 def sample_watermelon(p, n, wall, seed):
     """Draw one watermelon exactly uniformly.
 
@@ -178,15 +155,14 @@ def sample_watermelon(p, n, wall, seed):
         raise ValueError("need p >= 1 and n >= 1")
     u = replica_words(seed, 0, 2 * n)
     moves = _moves(p)
-    pos = np.empty((2 * n + 1, p), dtype=np.int64)
     x = tuple(range(0, 2 * p, 2))
-    pos[0] = x
+    rows = [x]
     for k in range(2 * n):
         cum, total = _cdf_table(p, n, wall, k, x)
         j = bisect_left(cum, int(u[k]) * total)
         x = tuple(a + s for a, s in zip(x, moves[j]))
-        pos[k + 1] = x
-    return WatermelonPath(p=p, n=n, positions=pos, wall=wall)
+        rows.append(x)
+    return WatermelonPath(p=p, n=n, positions=rows, wall=wall)
 
 
 def _check_start(p, n, wall, replicas, k0, x0):
@@ -331,32 +307,3 @@ def sample_path_batch(p, n, wall, base_seed, replicas, chunk=DEFAULT_CHUNK):
     if replicas * (2 * n + 1) * p > 60_000_000:
         raise ValueError("full paths for this batch would be too large; use snapshots instead")
     return _batch_core(p, n, wall, base_seed, replicas, range(2 * n + 1), chunk)
-
-
-def write_path_csv(path, fileobj):
-    """Write one watermelon as CSV rows k,branch_1,...,branch_p."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["k"] + [f"branch_{i + 1}" for i in range(path.p)])
-    for k, row in enumerate(path.positions):
-        writer.writerow([k] + [int(v) for v in row])
-
-
-def read_path_csv(fileobj, wall):
-    """Inverse of write_path_csv; wall is metadata the CSV does not carry.
-
-    Raises ValueError on an empty file, on a header other than
-    k,branch_1,...,branch_p, on a k column other than 0, 1, ..., 2n, and
-    on positions that are not a watermelon.
-    """
-    reader = csv.reader(fileobj)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty path file")
-    p = len(header) - 1
-    if header != ["k"] + [f"branch_{i + 1}" for i in range(p)]:
-        raise ValueError(f"header must be k,branch_1,...,branch_p, got {','.join(header)!r}")
-    rows = [[int(v) for v in row] for row in reader]
-    if [row[:1] for row in rows] != [[k] for k in range(len(rows))]:
-        raise ValueError("the k column must count 0, 1, ..., 2n")
-    n = (len(rows) - 1) // 2
-    return WatermelonPath(p=p, n=n, positions=np.array([row[1:] for row in rows]), wall=wall)

@@ -407,25 +407,39 @@ def summarize_batch(config: SdeConfig, replicas: int, record_times, max_order: i
     return out
 
 
+# rows per block of trajectory_to_csv
+_CSV_BLOCK = 1024
+
+
 def trajectory_to_csv(traj: Trajectory, fileobj) -> None:
-    """Write a trajectory as rows t,x_1,...,x_p with full float precision."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"x_{i + 1}" for i in range(traj.p)])
-    for t, row in zip(traj.times, traj.values):
-        writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+    """Write a trajectory as CSV rows t,x_1,...,x_p with full float precision."""
+    # one format string per row; lines end in \r\n, as csv.writer ends them.
+    # Rows go out in blocks, so only one block's Python floats are alive.
+    fileobj.write(",".join(["t"] + [f"x_{i + 1}" for i in range(traj.p)]) + "\r\n")
+    row = ",".join(["%.17g"] * (traj.p + 1)) + "\r\n"
+    for lo in range(0, len(traj.times), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        fileobj.writelines(
+            row % (t, *x) for t, x in zip(traj.times[block].tolist(), traj.values[block].tolist())
+        )
 
 
 def read_trajectory_csv(fileobj, wall: bool) -> Trajectory:
-    """Inverse of trajectory_to_csv; the wall flag is not stored in the CSV."""
+    """Inverse of trajectory_to_csv; the wall flag is not stored in the CSV.
+
+    Raises ValueError on an empty file, on a header other than t,x_1,...,x_p
+    with p >= 1, on a row without p + 1 values, and on values that are not
+    a trajectory.
+    """
     reader = csv.reader(fileobj)
-    header = next(reader)
-    if not header or header[0] != "t":
-        raise ValueError("trajectory CSV must start with a 't' header column")
-    times = []
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        times.append(float(rec[0]))
-        rows.append([float(v) for v in rec[1:]])
-    return Trajectory(times=np.asarray(times), values=np.asarray(rows), wall=wall)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty trajectory file")
+    p = len(header) - 1
+    if p < 1 or header != ["t"] + [f"x_{i + 1}" for i in range(p)]:
+        raise ValueError(f"header must be t,x_1,...,x_p, got {','.join(header)!r}")
+    rows = [[float(v) for v in rec] for rec in reader]
+    if any(len(rec) != p + 1 for rec in rows):
+        raise ValueError(f"every row must hold t and {p} branch values")
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), p + 1)
+    return Trajectory(times=table[:, 0], values=table[:, 1:], wall=wall)

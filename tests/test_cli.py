@@ -5,6 +5,7 @@ stdout/stderr behavior are pinned down without spawning subprocesses,
 plus one real subprocess test for the console entry point.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -111,10 +112,15 @@ def test_sample_env_seed(tmp_path, capsys, monkeypatch):
     assert "WATERMELON_SEED" in err
 
 
+# sha256 over each file's name, a newline and its bytes, in name order,
+# recorded while WatermelonPath still held its rows in a numpy array
+GOLDEN_BATCH_DIRECTORY = "6002fa8660a2c00edb53fd573939deab51bdc59df8efc2ec85b843f56ec82bd7"
+
+
 def test_sample_batch_directory(tmp_path, capsys):
     out_dir = tmp_path / "batch"
     code, out, _ = run_cli(
-        capsys, "sample", "--p", "1", "--n", "3", "--wall", "--seed", "5",
+        capsys, "sample", "--p", "2", "--n", "12", "--wall", "--seed", "5",
         "--batch", "3", "--out", str(out_dir),
     )
     assert code == 0
@@ -122,10 +128,13 @@ def test_sample_batch_directory(tmp_path, capsys):
     assert [f.name for f in files] == [
         "watermelon_0000.csv", "watermelon_0001.csv", "watermelon_0002.csv",
     ]
+    digest = hashlib.sha256()
     for f in files:
         with open(f, newline="") as fh:
             path = read_path_csv(fh, True)
-        assert path.p == 1 and path.n == 3
+        assert path.p == 2 and path.n == 12
+        digest.update(f.name.encode() + b"\n" + f.read_bytes())
+    assert digest.hexdigest() == GOLDEN_BATCH_DIRECTORY
 
 
 @pytest.mark.parametrize(
@@ -494,8 +503,8 @@ finally:
         (["moments", "--table"], '{"normalized_table": [', {"numpy", "scipy"}),
         (["sample", "--p", "2", "--n", "3", "--seed", "1"], "k,branch_1,branch_2", {"scipy"}),
         (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy"}),
-        (["render", "{path}", "--wall"], "<svg", {"scipy"}),
-        (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ', {"scipy"}),
+        (["render", "{path}", "--wall"], "<svg", {"numpy", "scipy"}),
+        (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ', {"numpy", "scipy"}),
     ],
     ids=["count", "moments", "sample", "density", "render", "verify-from-file"],
 )

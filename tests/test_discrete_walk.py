@@ -9,6 +9,7 @@ import hashlib
 import io
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -63,14 +64,14 @@ def test_step_weights_normalize_to_exact_distribution(p, n, wall):
 
 def test_unique_watermelons_are_forced():
     path = sample_watermelon(1, 1, True, 0)
-    assert path.positions[:, 0].tolist() == [0, 1, 0]
+    assert path.positions == ((0,), (1,), (0,))
     path = sample_watermelon(2, 1, True, 123)
-    assert path.positions.tolist() == [[0, 2], [1, 3], [0, 2]]
+    assert path.positions == ((0, 2), (1, 3), (0, 2))
 
 
 def test_p1_n2_wall_is_a_fair_coin():
     hits = sum(
-        sample_watermelon(1, 2, True, s).positions[2, 0] == 2 for s in range(2000)
+        sample_watermelon(1, 2, True, s).positions[2][0] == 2 for s in range(2000)
     )
     # the peak path 0,1,2,1,0 has probability 1/2; 4.5 sigma band
     assert abs(hits / 2000 - 0.5) < 4.5 * math.sqrt(0.25 / 2000)
@@ -114,7 +115,8 @@ def test_replica_words_are_bounded_integers_after_a_skip(seed, replica, skip):
 def test_property_sampled_paths_satisfy_invariants(p, n, wall, seed):
     path = sample_watermelon(p, n, wall, seed)  # __post_init__ validates
     # time reversal of a watermelon is again a watermelon
-    WatermelonPath(p=p, n=n, positions=path.positions[::-1].copy(), wall=wall)
+    assert all(type(v) is int for row in path.positions for v in row)
+    WatermelonPath(p=p, n=n, positions=path.positions[::-1], wall=wall)
 
 
 def test_invalid_paths_rejected():
@@ -130,6 +132,13 @@ def test_invalid_paths_rejected():
         WatermelonPath(p=1, n=1, positions=np.array([[0], [-1], [0]]), wall=True)
     # the same excursion below zero is legal without the wall
     WatermelonPath(p=1, n=1, positions=np.array([[0], [-1], [0]]), wall=False)
+    # a row too few for n = 2, a short row, and rows one branch too wide
+    with pytest.raises(ValueError, match=re.escape("positions shape (4, 1) != (5, 1)")):
+        WatermelonPath(p=1, n=2, positions=((0,), (1,), (2,), (1,)), wall=True)
+    with pytest.raises(ValueError, match=re.escape("positions shape (3, 1) != (3, 2)")):
+        WatermelonPath(p=2, n=1, positions=((0, 2), (1,), (0, 2)), wall=True)
+    with pytest.raises(ValueError, match=re.escape("positions shape (3, 3) != (3, 2)")):
+        WatermelonPath(p=2, n=1, positions=((0, 2, 4), (1, 3, 5), (0, 2, 4)), wall=True)
     with pytest.raises(ValueError, match="p >= 1"):
         sample_watermelon(0, 1, True, 0)
 
@@ -143,7 +152,7 @@ def test_uniformity_chi_square(p, n):
     total = count_watermelons(p, n, True)
     samples = 100_000
     counts = Counter(
-        sample_watermelon(p, n, True, s).positions.tobytes() for s in range(samples)
+        sample_watermelon(p, n, True, s).positions for s in range(samples)
     )
     assert len(counts) == total, "some watermelon was never sampled"
     expected = samples / total
@@ -336,6 +345,25 @@ def test_path_batch_golden_bytes():
 # CSV round trip
 
 
+# sha256 of the write_path_csv bytes of sample_watermelon(p, 30, wall, 100 + p),
+# recorded while WatermelonPath still held its rows in a numpy array
+GOLDEN_PATH_CSV = {
+    (1, False): "367e5c27574dfa7b6cce35dd077343244294ee3ed8d0820ae6f8d533a23c03be",
+    (1, True): "08528dc01a919165d102d828da8d21ab645914ee2bd7646673f906d379691f54",
+    (2, False): "a5f7f103eec92265a8b33e63e3694c610498b698acc993e8fb579e61ec6ac047",
+    (2, True): "5ec783b879a70f36d5148536a737b12aaf89f23774d78e5a7ac7d618aadfe3a6",
+    (3, False): "d26a943b09189a27e1677931ff7b1457359503d9a933f8a56277e34f60f219e8",
+    (3, True): "800dec6b54b84cb4d72d626463639b6f04dcd217bfe7d8a2cde1c7f49736f968",
+}
+
+
+@pytest.mark.parametrize("p,wall", sorted(GOLDEN_PATH_CSV))
+def test_path_csv_golden_bytes(p, wall):
+    buf = io.StringIO()
+    write_path_csv(sample_watermelon(p, 30, wall, 100 + p), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_PATH_CSV[(p, wall)]
+
+
 def test_csv_round_trip():
     path = sample_watermelon(2, 5, True, 8)
     buf = io.StringIO()
@@ -356,8 +384,9 @@ def test_csv_round_trip():
         # a valid p = 1 path whose k column is not the time grid
         ("k,branch_1\n7,0\n9,1\n5,0\n", "k column"),
         ("k,branch_1\n0,0\n2,1\n4,0\n", "k column"),
+        ("k,branch_1,branch_2\n0,0,2\n1,1\n2,0,2\n", "shape"),
     ],
-    ids=["empty", "foreign-header", "misnumbered-branch", "k-shuffled", "k-skips"],
+    ids=["empty", "foreign-header", "misnumbered-branch", "k-shuffled", "k-skips", "short-row"],
 )
 def test_csv_reader_rejects_malformed_files(text, message):
     with pytest.raises(ValueError, match=message):

@@ -347,3 +347,41 @@ def test_csv_round_trip():
 def test_csv_header_required():
     with pytest.raises(ValueError, match="header"):
         read_trajectory_csv(io.StringIO("0.1,0.5\n"), wall=False)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty"),
+        ("t\n0.1\n", "header"),
+        ("t,y\n0.1,0.5\n", "header"),
+        # two branches named, one value per row
+        ("t,x_1,x_2\n0.1,0.5\n0.2,0.6\n", "row"),
+        ("t,x_1\n0.1,0.5\n0.2,0.6,0.7\n", "row"),
+        ("t,x_1\n0.1,0.5\n\n0.2,0.6\n", "row"),
+    ],
+    ids=["empty", "no-branches", "foreign-header", "narrow-rows", "wide-row", "blank-row"],
+)
+def test_csv_reader_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(io.StringIO(text), wall=False)
+
+
+# sha256 of the trajectory_to_csv bytes of simulate at dt = 1e-3, seed 40 + p,
+# recorded while the writer still went through csv.writer.  The 961 rows
+# fit one block of the writer, and split into ten blocks of at most 100.
+GOLDEN_TRAJECTORY_CSV = {
+    (1, False): "edca27e1a0a9beff346437f6356299f637d9cd97bad51b5bf19bee2c296c6ea0",
+    (1, True): "41fc13b1d0f4b52f898035d2498aef969f1e6ef9de18343a1670f4093fa73d76",
+    (2, False): "ad63f302cfc9060b5e93d66457429a8a4166b9d3cdbe88d3fac3fc689a12bc88",
+    (2, True): "1749dbfb8fb2da37e8b0ff41ad31a05bd27d553e1f54f7a4ef798ba29b7f2d36",
+}
+
+
+@pytest.mark.parametrize("block", [sde_sim._CSV_BLOCK, 100])
+@pytest.mark.parametrize("p,wall", sorted(GOLDEN_TRAJECTORY_CSV))
+def test_trajectory_csv_golden_bytes(p, wall, block, monkeypatch):
+    monkeypatch.setattr(sde_sim, "_CSV_BLOCK", block)
+    buf = io.StringIO()
+    trajectory_to_csv(simulate(SdeConfig(p=p, wall=wall, dt=1e-3, seed=40 + p)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_TRAJECTORY_CSV[(p, wall)]
