@@ -186,13 +186,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_density(args):
-    from .spectral_laws import DensityParams, density_nowall, density_wall
+    from .spectral_laws import DensityParams, density
 
     params = DensityParams(args.p, args.t, args.wall)
-    evaluate = density_wall if args.wall else density_nowall
     for chunk in args.x:
         x = _parse_floats(chunk)
-        print(_fmt(evaluate(params, x)))
+        print(_fmt(density(params, x)))
     return 0
 
 

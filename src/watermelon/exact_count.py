@@ -226,8 +226,8 @@ def is_valid_cross_section(p, n, k, x, wall) -> bool:
     return _count_or_zero(p, 2 * n - k, tuple(x), wall) > 0
 
 
-def step_probability(p, n, k, x, eps, wall) -> Fraction:
-    """Exact conditional probability of the step eps for a uniform watermelon.
+def step_distribution(p, n, k, x, wall):
+    """Exact conditional probabilities of every next step of a uniform watermelon.
 
     Given that a uniformly drawn (p,2n)-watermelon passes through integer
     positions x at time k, the probability that branch i next moves by
@@ -236,33 +236,14 @@ def step_probability(p, n, k, x, eps, wall) -> Fraction:
         N(2n-k-1, x+eps) / N(2n-k, x)
 
     where N counts stars (by time reversal, completions from x in j steps
-    are stars of length j ending at x).  The ratio is returned as an exact
-    Fraction; over all 2^p sign vectors the probabilities sum to exactly 1.
+    are stars of length j ending at x).  Sign vectors are ordered by their
+    bit mask (bit i set means branch i steps up).  Returns a list of
+    (eps, Fraction) pairs including the zero-probability moves; the
+    fractions sum to exactly 1.
     """
     x = tuple(int(v) for v in x)
-    eps = tuple(int(s) for s in eps)
-    if len(eps) != p or any(s not in (-1, 1) for s in eps):
-        raise ValueError(f"eps must be a vector of +-1, got {eps}")
     if not 0 <= k < 2 * n:
         raise ValueError(f"step index k={k} outside [0, 2n) with n={n}")
-    if not is_valid_cross_section(p, n, k, x, wall):
-        raise ValueError(
-            f"invalid cross-section x={x} at time k={k} for (p={p}, n={n}, wall={wall})"
-        )
-    denom = _count_or_zero(p, 2 * n - k, x, wall)
-    nxt = tuple(a + s for a, s in zip(x, eps))
-    numer = _count_or_zero(p, 2 * n - k - 1, nxt, wall)
-    return Fraction(numer, denom)
-
-
-def step_distribution(p, n, k, x, wall):
-    """All one-step probabilities at once, ordered by sign-vector index.
-
-    Sign vectors are ordered by their bit mask (bit i set means branch i
-    steps up).  Returns a list of (eps, Fraction) pairs including the
-    zero-probability moves; the fractions sum to exactly 1.
-    """
-    x = tuple(int(v) for v in x)
     if not is_valid_cross_section(p, n, k, x, wall):
         raise ValueError(
             f"invalid cross-section x={x} at time k={k} for (p={p}, n={n}, wall={wall})"

@@ -110,6 +110,8 @@ class Trajectory:
             raise ValueError("times must be (m,) and values (m, p) with matching m")
         if t.shape[0] < 1:
             raise ValueError("a trajectory needs at least one recorded time")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if t[0] < 0.0 or t[-1] > 1.0:

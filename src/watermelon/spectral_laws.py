@@ -104,26 +104,16 @@ def evaluate_density_grid(params, points):
     return out * np.exp(-np.sum(pts * pts, axis=-1) / (2.0 * s2))
 
 
-def density_wall(params, x):
-    """Limit marginal density with the wall; 0 outside the closed chamber."""
-    if not params.wall:
-        raise ValueError("params.wall must be true for density_wall")
+def density(params, x):
+    """Limit marginal density at x; 0 outside the closed chamber.
+
+    The chamber is 0 <= x_1 <= ... <= x_p with the wall (params.wall) and
+    x_1 <= ... <= x_p without it.
+    """
     v = np.asarray(x, dtype=float)
     if v.shape != (params.p,):
         raise ValueError(f"x must be a vector of length {params.p}")
-    if v[0] < 0 or not (np.diff(v) >= 0).all():
-        return 0.0
-    return float(evaluate_density_grid(params, v))
-
-
-def density_nowall(params, x):
-    """Limit marginal density without the wall; 0 outside the closed chamber."""
-    if params.wall:
-        raise ValueError("params.wall must be false for density_nowall")
-    v = np.asarray(x, dtype=float)
-    if v.shape != (params.p,):
-        raise ValueError(f"x must be a vector of length {params.p}")
-    if not (np.diff(v) >= 0).all():
+    if (params.wall and v[0] < 0) or not (np.diff(v) >= 0).all():
         return 0.0
     return float(evaluate_density_grid(params, v))
 

@@ -67,25 +67,18 @@ def _values(sample):
     return v
 
 
-def _apply_cdf(cdf, xs):
-    try:
-        out = np.asarray(cdf(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(cdf(x)) for x in xs])
-
-
 def ks_statistic(sample, cdf):
     """Sup distance between the empirical CDF and a reference CDF.
 
-    Compare against KS_SERIES_COEFF[alpha]/sqrt(N); the suite uses
-    alpha = 0.05, i.e. 1.358/sqrt(N).
+    cdf is called once, on the sorted sample as an array, and must return
+    one value per point.  Compare against KS_SERIES_COEFF[alpha]/sqrt(N);
+    the suite uses alpha = 0.05, i.e. 1.358/sqrt(N).
     """
     xs = np.sort(_values(sample))
     n = xs.size
-    f = _apply_cdf(cdf, xs)
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ValueError(f"cdf must map {n} points to {n} values, got shape {f.shape}")
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
@@ -255,8 +248,9 @@ def dequantize_lattice(positions, n, wall, rng=None):
     the start configuration 0, 2, ..., 2p-2, preserved exactly by the
     up/down symmetry of the ensemble).  Unshifted branch means are off by
     about 1/sqrt(2n), which is roughly ten standard errors at the sample
-    sizes the suite runs; scripts/lattice_shift_probe.py reproduces the
-    calibration measurements behind both offsets.
+    sizes the suite runs.  The test_dequantized_exact_* tests in
+    tests/test_stats_verify.py check both offsets, seed-free, against the
+    exact lattice law at t = 1/2, P(X_n = x) = N_n(x)^2 / N_2n(start).
 
     With rng given, independent Uniform[-1, 1) jitter is added to every
     coordinate before scaling.  The jittered law is continuous and its KS
@@ -559,7 +553,7 @@ def _check_norm_gamma_oracle(params, base_seed, tolerance):
             ys = np.linspace(0.0, (10.0 * sigma) ** 2, 2001)[1:]
             r = np.sqrt(ys)
             push = q(r) - q(-r)
-            worst = max(worst, float(np.max(np.abs(_apply_cdf(g, ys) - push))))
+            worst = max(worst, float(np.max(np.abs(g(ys) - push))))
             pts += ys.size
     return [
         _record(

@@ -20,7 +20,7 @@ from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
 from watermelon.moments import moment_wall_p2, normalized_table_entry
 from watermelon.sde_sim import read_trajectory_csv
-from watermelon.spectral_laws import DensityParams, density_wall
+from watermelon.spectral_laws import DensityParams, density
 from watermelon.stats_verify import format_json
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -241,8 +241,8 @@ def test_density_wall_matches_library(capsys):
     assert code == 0
     lines = out.splitlines()
     params = DensityParams(2, 0.25, True)
-    assert float(lines[0]) == pytest.approx(density_wall(params, [0.3, 0.9]), rel=1e-15)
-    assert float(lines[1]) == pytest.approx(density_wall(params, [0.1, 0.4]), rel=1e-15)
+    assert float(lines[0]) == pytest.approx(density(params, [0.3, 0.9]), rel=1e-15)
+    assert float(lines[1]) == pytest.approx(density(params, [0.1, 0.4]), rel=1e-15)
 
 
 def test_density_bad_point_is_usage_error(capsys):

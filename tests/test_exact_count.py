@@ -26,7 +26,6 @@ from watermelon.exact_count import (
     factorial_ratio_log_exact,
     is_valid_cross_section,
     step_distribution,
-    step_probability,
     stirling_ratio_log_asymptotic,
     stirling_ratio_relative_error,
     watermelon_start,
@@ -209,16 +208,16 @@ def test_invalid_queries_rejected():
 # step probabilities
 
 
-def test_step_probability_examples():
-    assert step_probability(1, 2, 0, (0,), (1,), True) == 1
-    assert step_probability(1, 2, 1, (1,), (1,), True) == Fraction(1, 2)
-    assert step_probability(1, 1, 1, (1,), (-1,), True) == 1
+def test_step_distribution_examples():
+    assert dict(step_distribution(1, 2, 0, (0,), True))[(1,)] == 1
+    assert dict(step_distribution(1, 2, 1, (1,), True))[(1,)] == Fraction(1, 2)
+    assert dict(step_distribution(1, 1, 1, (1,), True))[(-1,)] == 1
 
 
-def test_step_probability_is_exact_ratio_of_counts():
+def test_step_distribution_is_exact_ratio_of_counts():
     num = count_stars_wall(StarQuery(1, 2, (2,), True))
     den = count_stars_wall(StarQuery(1, 3, (1,), True))
-    assert step_probability(1, 2, 1, (1,), (1,), True) == Fraction(num, den)
+    assert dict(step_distribution(1, 2, 1, (1,), True))[(1,)] == Fraction(num, den)
 
 
 def test_step_distribution_sums_to_one_exactly():
@@ -240,15 +239,16 @@ def test_step_distribution_sums_to_one_exactly():
 def test_invalid_cross_sections_rejected():
     # wrong parity at odd time
     with pytest.raises(ValueError, match="cross-section"):
-        step_probability(1, 2, 1, (0,), (1,), True)
+        step_distribution(1, 2, 1, (0,), True)
     # unreachable from the start in k steps
     with pytest.raises(ValueError, match="cross-section"):
-        step_probability(1, 4, 1, (3,), (1,), True)
+        step_distribution(1, 4, 1, (3,), True)
     # reachable but not completable by time 2n
     with pytest.raises(ValueError, match="cross-section"):
-        step_probability(1, 2, 3, (3,), (-1,), True)
-    with pytest.raises(ValueError, match="eps"):
-        step_probability(1, 2, 0, (0,), (2,), True)
+        step_distribution(1, 2, 3, (3,), True)
+    # the end of the watermelon has no next step
+    with pytest.raises(ValueError, match="step index"):
+        step_distribution(1, 2, 4, (0,), True)
 
 
 def test_validity_helper():

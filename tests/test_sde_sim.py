@@ -106,6 +106,13 @@ def test_trajectory_validation():
         Trajectory(times=good_t, values=bad_v, wall=True)
     with pytest.raises(ValueError, match="matching"):
         Trajectory(times=good_t[:2], values=good_v, wall=False)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=np.array([bad, 0.2, 0.3]), values=good_v, wall=True)
+        bad_v = good_v.copy()
+        bad_v[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=good_t, values=bad_v, wall=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +366,14 @@ def test_csv_header_required():
         ("t,x_1,x_2\n0.1,0.5\n0.2,0.6\n", "row"),
         ("t,x_1\n0.1,0.5\n0.2,0.6,0.7\n", "row"),
         ("t,x_1\n0.1,0.5\n\n0.2,0.6\n", "row"),
+        # every order check is a comparison, which nan and inf used to pass
+        ("t,x_1,x_2\r\nnan,nan,inf\r\n0.5,1,2\r\n", "finite"),
+        ("t,x_1,x_2\r\n0.25,-inf,2\r\n0.5,1,inf\r\n", "finite"),
     ],
-    ids=["empty", "no-branches", "foreign-header", "narrow-rows", "wide-row", "blank-row"],
+    ids=[
+        "empty", "no-branches", "foreign-header", "narrow-rows", "wide-row", "blank-row",
+        "nan", "inf",
+    ],
 )
 def test_csv_reader_rejects_malformed_files(text, message):
     with pytest.raises(ValueError, match=message):

@@ -7,8 +7,7 @@ import pytest
 from watermelon.spectral_laws import (
     DensityParams,
     _replica_normals,
-    density_nowall,
-    density_wall,
+    density,
     evaluate_density_grid,
     nowall_density_constant,
     sample_gue_spectrum_batch,
@@ -87,16 +86,14 @@ def test_density_constants_small_p():
 def test_density_chamber_boundaries():
     params_w = DensityParams(2, 0.5, True)
     params_f = DensityParams(2, 0.5, False)
-    assert density_wall(params_w, [-0.5, 1.0]) == 0.0
-    assert density_wall(params_w, [1.0, 0.5]) == 0.0
-    assert density_nowall(params_f, [1.0, 0.5]) == 0.0
-    assert density_nowall(params_f, [-1.0, 0.5]) > 0.0
-    with pytest.raises(ValueError, match="wall"):
-        density_wall(params_f, [0.5, 1.0])
-    with pytest.raises(ValueError, match="wall"):
-        density_nowall(params_w, [0.5, 1.0])
+    assert density(params_w, [-0.5, 1.0]) == 0.0
+    assert density(params_w, [1.0, 0.5]) == 0.0
+    assert density(params_f, [1.0, 0.5]) == 0.0
+    assert density(params_f, [-1.0, 0.5]) > 0.0
+    with pytest.raises(ValueError, match="vector"):
+        density(params_w, [0.5, 1.0, 1.5])
     inside = np.array([0.4, 1.1])
-    assert density_wall(params_w, inside) == pytest.approx(
+    assert density(params_w, inside) == pytest.approx(
         float(evaluate_density_grid(params_w, inside)), rel=1e-15
     )
 

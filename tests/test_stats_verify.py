@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -23,6 +24,8 @@ from watermelon.stats_verify import (
     report_to_json,
     run_suite,
 )
+from watermelon.exact_count import StarQuery, count_stars, watermelon_start
+from watermelon.moments import moment_nowall_p2, moment_wall_p2
 from watermelon.spectral_laws import DensityParams
 
 # values below were produced by a 30-digit mpmath evaluation of the
@@ -135,6 +138,14 @@ def test_ks_statistic_detects_shift():
         return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / math.sqrt(2.0)))
 
     assert ks_statistic(vals, cdf) > 0.2
+
+
+def test_ks_statistic_evaluates_the_cdf_on_the_whole_sample():
+    sample = np.array([0.2, 0.4, 0.9])
+    with pytest.raises(ValueError, match="cdf must map 3 points"):
+        ks_statistic(sample, lambda x: 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ks_statistic(-sample, norm_squared_cdf(1, 0.5, True))
 
 
 def test_ks_self_consistency_at_five_percent():
@@ -292,6 +303,64 @@ def test_dequantize_validation():
         dequantize_lattice(np.array([[1]]), 0, True)
     with pytest.raises(ValueError, match="branch axis"):
         dequantize_lattice(np.array(3), 4, True)
+
+
+def _exact_half_time_law(p, n, wall):
+    """Exact law of the time-n cross-section of a uniform (p, 2n)-watermelon.
+
+    By time reversal the second half of a watermelon through x is a star of
+    length n ending at x, run backwards, so P(X_n = x) = N_n(x)^2 / N_2n(start)
+    with N the star counts (Gessel & Viennot, Adv. Math. 58, 1985; Fisher,
+    J. Stat. Phys. 34, 1984).  The window of +-5 sqrt(2n) lattice units, ten
+    standard deviations, leaves out less than 1e-18 of the mass.  Returns the
+    atoms, shape (M, p), and their probabilities, each the correctly rounded
+    ratio of two exact integers.
+    """
+    r = int(5 * math.sqrt(2 * n))
+    heights = [x for x in range(0 if wall else -r, r + 1) if (x - n) % 2 == 0]
+    atoms = list(combinations(heights, p))
+    total = count_stars(StarQuery(p, 2 * n, watermelon_start(p), wall))
+    probs = [count_stars(StarQuery(p, n, a, wall)) ** 2 / total for a in atoms]
+    return np.array(atoms), np.array(probs)
+
+
+@pytest.mark.parametrize("wall", [True, False])
+def test_dequantized_exact_p1_marginal_matches_limit_cdf(wall):
+    # The jittered lattice marginal that marginal_ks reads at n = 2048, exactly:
+    # each atom spread uniformly over its cell [x - 1, x + 1).  Its distance to
+    # the limit CDF is a few percent of the KS threshold (about 0.03 with the
+    # wall, 0.009 without), so the record measures sampling noise, not lattice
+    # bias.  Without the wall offset +1 the distance is 1.33 thresholds.
+    n = 2048
+    atoms, probs = _exact_half_time_law(1, n, wall)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    # atoms sit two lattice units apart, so the cells tile the window
+    edges = dequantize_lattice(np.append(atoms - 1, atoms[-1] + 1)[:, None], n, wall)[:, 0]
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    grid = np.linspace(edges[0], edges[-1], 32 * probs.size + 1)
+    limit = branch_marginal_cdf(1, 0.5, wall, 0)
+    gap = np.max(np.abs(np.interp(grid, edges, cum) - limit(grid)))
+    threshold = KS_SERIES_COEFF[0.05] / math.sqrt(stats_verify._SOURCE_REPLICAS)
+    assert gap < 0.1 * threshold
+
+
+@pytest.mark.parametrize("wall", [True, False])
+def test_dequantized_exact_p2_means_match_limit_moments(wall):
+    # Exact branch means after the offsets +1 (wall) and -(p-1) (no wall),
+    # against the continuum means, in lattice units: within half a unit, and
+    # shrinking with n (0.11, 0.22 -> 0.06, 0.11 with the wall; 0.048 -> 0.024
+    # without).  The bare positions are off by 0.78 to 1.05 units, not shrinking.
+    moment = moment_wall_p2 if wall else moment_nowall_p2
+    biases = []
+    for n in (128, 512):
+        atoms, probs = _exact_half_time_law(2, n, wall)
+        assert abs(probs.sum() - 1.0) < 1e-12
+        means = probs @ dequantize_lattice(atoms, n, wall)
+        biases.append([abs(means[b] - moment(b + 1, 1, 0.5)) * math.sqrt(2 * n) for b in (0, 1)])
+    assert max(biases[0]) < 0.5
+    for coarse, fine in zip(*biases):
+        assert fine < 0.6 * coarse
+
 
 
 # ---------------------------------------------------------------------------
