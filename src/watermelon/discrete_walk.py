@@ -222,7 +222,25 @@ def _move_weights(a, z):
     return np.multiply.reduce(fac.reshape(-1, 1 << p, b), axis=0)
 
 
-def _batch_core(p, n, wall, base_seed, replicas, k_indices, chunk, start=None):
+def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
+                          chunk=DEFAULT_CHUNK, *, start=None):
+    """Cross-sections of many independent watermelons at the requested times.
+
+    Runs the same conditional chain as sample_watermelon but vectorized
+    across replicas with float weights (relative rounding ~1e-15, far
+    below the 2^-53 uniform resolution; agreement with the exact sampler
+    is tested at n = 512 and spot-checked at n = 2048).  Returns integer
+    positions with shape (replicas, len(k_indices), p), snapshot times
+    sorted ascending.  Replica r depends only on (base_seed, r), so the
+    result is independent of chunking and of any outer work splitting.
+
+    The chain stops at the last requested index: the steps after it, and
+    their draws, are never made.  start=(k0, x0) continues the chains from
+    the cross-sections x0, shape (replicas, p), at step k0, with every
+    replica's stream moved past its first k0 draws; every index must then
+    be at least k0.  Continuing from a snapshot of an earlier call with the
+    same base seed gives, bit for bit, the snapshots of one uninterrupted run.
+    """
     if p < 1 or n < 1 or replicas < 1:
         raise ValueError("need p >= 1, n >= 1, replicas >= 1")
     two_n = 2 * n
@@ -280,30 +298,8 @@ def _batch_core(p, n, wall, base_seed, replicas, k_indices, chunk, start=None):
     return snaps
 
 
-def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
-                          chunk=DEFAULT_CHUNK, *, start=None):
-    """Cross-sections of many independent watermelons at the requested times.
-
-    Runs the same conditional chain as sample_watermelon but vectorized
-    across replicas with float weights (relative rounding ~1e-15, far
-    below the 2^-53 uniform resolution; agreement with the exact sampler
-    is tested at n = 512 and spot-checked at n = 2048).  Returns integer
-    positions with shape (replicas, len(k_indices), p), snapshot times
-    sorted ascending.  Replica r depends only on (base_seed, r), so the
-    result is independent of chunking and of any outer work splitting.
-
-    The chain stops at the last requested index: the steps after it, and
-    their draws, are never made.  start=(k0, x0) continues the chains from
-    the cross-sections x0, shape (replicas, p), at step k0, with every
-    replica's stream moved past its first k0 draws; every index must then
-    be at least k0.  Continuing from a snapshot of an earlier call with the
-    same base seed gives, bit for bit, the snapshots of one uninterrupted run.
-    """
-    return _batch_core(p, n, wall, base_seed, replicas, k_indices, chunk, start)
-
-
 def sample_path_batch(p, n, wall, base_seed, replicas, chunk=DEFAULT_CHUNK):
     """Full integer paths for a small batch, shape (replicas, 2n+1, p): a snapshot per step."""
     if replicas * (2 * n + 1) * p > 60_000_000:
         raise ValueError("full paths for this batch would be too large; use snapshots instead")
-    return _batch_core(p, n, wall, base_seed, replicas, range(2 * n + 1), chunk)
+    return sample_marginal_batch(p, n, wall, base_seed, replicas, range(2 * n + 1), chunk)

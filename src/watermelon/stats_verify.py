@@ -16,6 +16,7 @@ quadrature CDF before use.  Chi-square critical values invert the same
 function.
 """
 
+import inspect
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -107,15 +108,6 @@ def empirical_moment(sample, order):
 
 # ---------------------------------------------------------------------------
 # Gamma and chi-square laws
-
-
-def gamma_cdf(shape, scale, x):
-    """CDF of the Gamma(shape, scale) law: the regularized lower incomplete gamma."""
-    if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(gammainc(shape, x / scale))
 
 
 def norm_squared_cdf(p, t, wall):
@@ -423,15 +415,21 @@ def _candidate_endpoints(p, m, wall):
     return out
 
 
+def _ks_threshold(n):
+    """One-sample KS threshold at the 5% level for n observations."""
+    return KS_SERIES_COEFF[0.05] / math.sqrt(n)
+
+
 # --- check implementations -------------------------------------------------
 #
-# Every check maps (params, base_seed, tolerance) to a list of CheckRecord.
-# `tolerance` overrides the main statistical threshold where one exists;
-# exactness checks ignore it.
+# Every check is _check_x(base_seed, *, <its parameters>) and returns a list
+# of CheckRecord.  Its signature is the one place that names a parameter and
+# its default: _run_plan_item binds a plan item's params against it, so an
+# unknown or missing parameter is an error, not a silent default.
+# Thresholds are constants of the checks.
 
 
-def _check_count_oracle_sweep(params, base_seed, tolerance):
-    max_steps = int(params.get("max_steps", 8))
+def _check_count_oracle_sweep(base_seed, *, max_steps=8):
     t0 = time.monotonic()
     mismatches = 0
     cases = 0
@@ -474,10 +472,7 @@ def _check_count_oracle_sweep(params, base_seed, tolerance):
     ]
 
 
-def _check_sampler_uniformity(params, base_seed, tolerance):
-    cases = params.get("cases", ((1, 3), (2, 2)))
-    samples = int(params.get("samples", 100_000))
-    alpha = 0.01 if tolerance is None else float(tolerance)
+def _check_sampler_uniformity(base_seed, *, samples=100_000, cases=((1, 3), (2, 2))):
     t0 = time.monotonic()
     out = []
     for case in cases:
@@ -496,12 +491,12 @@ def _check_sampler_uniformity(params, base_seed, tolerance):
             _record(
                 f"sampler_uniformity/p{p}_n{n}",
                 chi2,
-                chi_square_critical(alpha, total - 1),
+                chi_square_critical(0.01, total - 1),
                 samples,
                 seed,
                 detail=(
                     f"chi-square over all {total} wall watermelons, "
-                    f"dof {total - 1}, level {alpha:g}"
+                    f"dof {total - 1}, level 0.01"
                 ),
             )
         )
@@ -509,18 +504,11 @@ def _check_sampler_uniformity(params, base_seed, tolerance):
     return out
 
 
-def _check_marginal_ks(params, base_seed, tolerance):
-    p = int(params["p"])
-    wall = bool(params["wall"])
+def _check_marginal_ks(base_seed, *, p, wall):
     snaps = _discrete_source(p, wall, base_seed, 0.5)
     rng = _jitter_rng(base_seed, f"marginal_ks/{p}/{int(wall)}/jitter")
     vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
     n_obs = vals.shape[0]
-    thr = (
-        KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
-        if tolerance is None
-        else float(tolerance)
-    )
     seed = _source_seed("discrete", p, wall, base_seed)
     out = []
     for b in range(p):
@@ -529,7 +517,7 @@ def _check_marginal_ks(params, base_seed, tolerance):
             _record(
                 f"marginal_ks/p{p}/{_wall_tag(wall)}/branch{b + 1}",
                 d,
-                thr,
+                _ks_threshold(n_obs),
                 n_obs,
                 seed,
                 detail=(
@@ -541,8 +529,7 @@ def _check_marginal_ks(params, base_seed, tolerance):
     return out
 
 
-def _check_norm_gamma_oracle(params, base_seed, tolerance):
-    thr = 1e-6 if tolerance is None else float(tolerance)
+def _check_norm_gamma_oracle(base_seed):
     worst = 0.0
     pts = 0
     for wall in (True, False):
@@ -559,7 +546,7 @@ def _check_norm_gamma_oracle(params, base_seed, tolerance):
         _record(
             "norm_gamma_oracle",
             worst,
-            thr,
+            1e-6,
             pts,
             0,
             detail=(
@@ -570,17 +557,10 @@ def _check_norm_gamma_oracle(params, base_seed, tolerance):
     ]
 
 
-def _check_norm_law_discrete(params, base_seed, tolerance):
-    p = int(params["p"])
-    wall = bool(params["wall"])
+def _check_norm_law_discrete(base_seed, *, p, wall):
     samples = [_discrete_source(p, wall, base_seed, t) for t in _SOURCE_TIMES]
     rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
     n_obs = samples[0].shape[0]
-    thr = (
-        KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
-        if tolerance is None
-        else float(tolerance)
-    )
     d = p * (2 * p + 1) if wall else p * p
     seed = _source_seed("discrete", p, wall, base_seed)
     out = []
@@ -591,7 +571,7 @@ def _check_norm_law_discrete(params, base_seed, tolerance):
             _record(
                 f"norm_law_discrete/p{p}/{_wall_tag(wall)}/t{round(100 * t)}",
                 ks_statistic(y, norm_squared_cdf(p, t, wall)),
-                thr,
+                _ks_threshold(n_obs),
                 n_obs,
                 seed,
                 detail=(
@@ -603,16 +583,9 @@ def _check_norm_law_discrete(params, base_seed, tolerance):
     return out
 
 
-def _check_norm_law_sde(params, base_seed, tolerance):
-    p = int(params["p"])
-    wall = bool(params["wall"])
+def _check_norm_law_sde(base_seed, *, p, wall):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     n_obs = snaps.shape[0]
-    thr = (
-        KS_SERIES_COEFF[0.05] / math.sqrt(n_obs)
-        if tolerance is None
-        else float(tolerance)
-    )
     d = p * (2 * p + 1) if wall else p * p
     seed = _source_seed("sde", p, wall, base_seed, dt=_SDE_DT)
     out = []
@@ -623,7 +596,7 @@ def _check_norm_law_sde(params, base_seed, tolerance):
             _record(
                 f"norm_law_sde/p{p}/{_wall_tag(wall)}/t{round(100 * t)}",
                 ks_statistic(y, norm_squared_cdf(p, t, wall)),
-                thr,
+                _ks_threshold(n_obs),
                 n_obs,
                 seed,
                 detail=f"KS of |X(t)|^2 at t = {t} against Gamma({d}/2, 2t(1-t))",
@@ -632,8 +605,7 @@ def _check_norm_law_sde(params, base_seed, tolerance):
     return out
 
 
-def _check_moment_table(params, base_seed, tolerance):
-    thr = 1e-12 if tolerance is None else float(tolerance)
+def _check_moment_table(base_seed):
     worst = 0.0
     count = 0
     rows = {row["order"]: row for row in first_moments_table(6)}
@@ -655,7 +627,7 @@ def _check_moment_table(params, base_seed, tolerance):
         _record(
             "moment_table",
             worst,
-            thr,
+            1e-12,
             count,
             0,
             detail=(
@@ -666,11 +638,7 @@ def _check_moment_table(params, base_seed, tolerance):
     ]
 
 
-def _check_moment_mc(params, base_seed, tolerance):
-    source = params.get("source", "discrete_walk")
-    wall = bool(params["wall"])
-    max_order = int(params.get("max_order", 4))
-    thr = 3.0 if tolerance is None else float(tolerance)
+def _check_moment_mc(base_seed, *, source, wall, max_order=4):
     if source == "discrete_walk":
         snaps = _discrete_source(2, wall, base_seed, 0.5)
         vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
@@ -695,7 +663,7 @@ def _check_moment_mc(params, base_seed, tolerance):
         _record(
             f"moment_mc/{short}/{_wall_tag(wall)}",
             worst,
-            thr,
+            3.0,
             vals.shape[0],
             seed,
             detail=(
@@ -706,10 +674,7 @@ def _check_moment_mc(params, base_seed, tolerance):
     ]
 
 
-def _check_symmetric_poly_mc(params, base_seed, tolerance):
-    p = int(params["p"])
-    wall = bool(params["wall"])
-    thr = 3.0 if tolerance is None else float(tolerance)
+def _check_symmetric_poly_mc(base_seed, *, p, wall):
     snaps = _discrete_source(p, wall, base_seed, 0.5)
     x = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
     y = x * x if wall else x
@@ -724,7 +689,7 @@ def _check_symmetric_poly_mc(params, base_seed, tolerance):
         _record(
             f"symmetric_poly_mc/p{p}/{_wall_tag(wall)}",
             worst,
-            thr,
+            3.0,
             n_obs,
             _source_seed("discrete", p, wall, base_seed),
             detail=(
@@ -735,9 +700,7 @@ def _check_symmetric_poly_mc(params, base_seed, tolerance):
     ]
 
 
-def _check_sde_invariants(params, base_seed, tolerance):
-    p = int(params["p"])
-    wall = bool(params["wall"])
+def _check_sde_invariants(base_seed, *, p, wall):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     bad = int(np.count_nonzero(~np.isfinite(snaps)))
     bad += int(np.count_nonzero(np.diff(snaps, axis=2) <= 0.0))
@@ -759,10 +722,7 @@ def _check_sde_invariants(params, base_seed, tolerance):
     ]
 
 
-def _check_sde_step_halving(params, base_seed, tolerance):
-    p = int(params.get("p", 2))
-    wall = bool(params.get("wall", True))
-    thr = 2.0 if tolerance is None else float(tolerance)
+def _check_sde_step_halving(base_seed, *, p, wall):
     base = _sde_source(p, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
     fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, _SDE_TWIN_RECORD_TIMES.index(0.5), :]
     yb = np.sum(base * base, axis=1)
@@ -774,7 +734,7 @@ def _check_sde_step_halving(params, base_seed, tolerance):
         _record(
             f"sde_step_halving/p{p}/{_wall_tag(wall)}",
             z,
-            thr,
+            2.0,
             yb.size + yf.size,
             _source_seed("sde", p, wall, base_seed, dt=_SDE_DT / 2),
             detail=(
@@ -786,18 +746,12 @@ def _check_sde_step_halving(params, base_seed, tolerance):
     ]
 
 
-def _check_sde_time_symmetry(params, base_seed, tolerance):
-    p = int(params.get("p", 2))
-    wall = bool(params.get("wall", True))
+def _check_sde_time_symmetry(base_seed, *, p, wall):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     half = snaps.shape[0] // 2
     a = snaps[:half, _SDE_RECORD_TIMES.index(0.35), :]
     b = snaps[half:, _SDE_RECORD_TIMES.index(0.65), :]
-    thr = (
-        KS_SERIES_COEFF[0.05] * math.sqrt((a.shape[0] + b.shape[0]) / (a.shape[0] * b.shape[0]))
-        if tolerance is None
-        else float(tolerance)
-    )
+    thr = KS_SERIES_COEFF[0.05] * math.sqrt((a.shape[0] + b.shape[0]) / (a.shape[0] * b.shape[0]))
     worst = 0.0
     for col in range(p):
         worst = max(worst, ks_two_sample(a[:, col], b[:, col]))
@@ -822,9 +776,8 @@ def _power_of_ten(n):
     return f"1e{len(digits) - 1}" if digits.rstrip("0") == "1" else digits
 
 
-def _check_stirling_error_decay(params, base_seed, tolerance):
-    ns = tuple(int(v) for v in params.get("grid_sizes", (100, 1000, 10_000)))
-    thr = 5.0 if tolerance is None else float(tolerance)
+def _check_stirling_error_decay(base_seed, *, grid_sizes=(100, 1000, 10_000)):
+    ns = tuple(int(v) for v in grid_sizes)
     worst_scaled = 0.0
     non_decreasing = 0
     pts = 0
@@ -847,7 +800,7 @@ def _check_stirling_error_decay(params, base_seed, tolerance):
         _record(
             "stirling_error_decay/bound",
             worst_scaled,
-            thr,
+            5.0,
             pts * len(ns),
             0,
             detail=(
@@ -965,21 +918,48 @@ DEFAULT_PLAN = (
     {"check": "norm_law_discrete", "params": {"p": 1, "wall": False}},
     {"check": "symmetric_poly_mc", "params": {"p": 1, "wall": False}},
     # closed-form checks
-    {"check": "count_oracle_sweep", "params": {"max_steps": 8}},
-    {"check": "sampler_uniformity", "params": {"cases": ((1, 3), (2, 2)), "samples": 100_000}},
+    {"check": "count_oracle_sweep", "params": {}},
+    {"check": "sampler_uniformity", "params": {"samples": 100_000}},
     {"check": "norm_gamma_oracle", "params": {}},
     {"check": "moment_table", "params": {}},
     {"check": "stirling_error_decay", "params": {}},
 )
 
 
-def _run_plan_item(item, base_seed):
+def _bind_plan_item(item, base_seed):
+    """(check function, params) of a plan item, its params bound against the check.
+
+    ValueError, naming the check, for an item key other than check and
+    params, an unknown, misspelled or missing parameter, a wall that is not
+    a boolean, or a p that is not an integer >= 1.
+    """
     check = item["check"]
     fn = _CHECKS.get(check)
     if fn is None:
         raise ValueError(f"unknown check {check!r}; known: {sorted(_CHECKS)}")
-    params = dict(item.get("params") or {})
-    return fn(params, base_seed, item.get("tolerance"))
+    extra = sorted(set(item) - {"check", "params"})
+    if extra:
+        raise ValueError(f"{check}: a plan item holds only check and params, got {extra}")
+    params = item.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{check}: params must be an object, got {params!r}")
+    signature = inspect.signature(fn)
+    try:
+        signature.bind(base_seed, **params)
+    except TypeError as err:
+        names = ", ".join(list(signature.parameters)[1:]) or "none"
+        raise ValueError(f"{check}: {err} (parameters: {names})") from None
+    wall, p = params.get("wall", False), params.get("p", 1)
+    if not isinstance(wall, bool):
+        raise ValueError(f"{check}: wall must be true or false, got {wall!r}")
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        raise ValueError(f"{check}: p must be an integer >= 1, got {p!r}")
+    return fn, params
+
+
+def _run_plan_item(item, base_seed):
+    fn, params = _bind_plan_item(item, base_seed)
+    return fn(base_seed, **params)
 
 
 _SDE_CHECKS = ("norm_law_sde", "sde_invariants", "sde_step_halving", "sde_time_symmetry")
@@ -988,12 +968,12 @@ _LATTICE_CHECKS = ("marginal_ks", "norm_law_discrete", "symmetric_poly_mc")
 
 def _source_of(item):
     """The cached source ("sde" | "discrete", p, wall) a plan item reads, or None."""
-    check, params = item.get("check"), item.get("params") or {}
+    check, params = item.get("check"), item.get("params", {})
     if check == "moment_mc":
         kind = "sde" if params.get("source") == "sde_sim" else "discrete"
         return (kind, 2, params.get("wall"))
     if check in _SDE_CHECKS:
-        return ("sde", params.get("p", 2), params.get("wall", True))
+        return ("sde", params.get("p"), params.get("wall"))
     if check in _LATTICE_CHECKS:
         return ("discrete", params.get("p"), params.get("wall"))
     return None
@@ -1021,14 +1001,17 @@ def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
     Every record is a pure function of (base_seed, plan): sample sources
     are seeded by source tags and recomputed identically wherever needed,
     so the report bytes do not depend on the worker count.  Plan items
-    are dicts with keys "check", optional "params", and an optional
-    "tolerance" overriding the check's main threshold.  The default plan
+    are dicts with the key "check" and an optional "params", the check's
+    keyword arguments.  Every item is bound against its check before any
+    runs, so a malformed item raises ValueError at once.  The default plan
     finishes well inside its ten minute budget on a single core.
     """
     t_start = time.monotonic()
     items = list(DEFAULT_PLAN) if plan is None else list(plan)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    for item in items:
+        _bind_plan_item(item, base_seed)
     if workers == 1 or len(items) <= 1:
         batches = [_run_plan_item(item, base_seed) for item in items]
     else:

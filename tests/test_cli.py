@@ -324,10 +324,28 @@ def test_verify_plan_file(tmp_path, capsys):
 
 def test_verify_plan_failure_exit_code(tmp_path, capsys):
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps([{"check": "moment_table", "tolerance": 1e-20}]))
+    plan.write_text(json.dumps(
+        [{"check": "stirling_error_decay", "params": {"grid_sizes": [10000, 100]}}]
+    ))
     code, out, _ = run_cli(capsys, "verify", "--plan", str(plan))
     assert code == 1
     assert json.loads(out)["verdict"] is False
+
+
+@pytest.mark.parametrize("item", [
+    {"check": "sde_time_symmetry", "params": {"p": 1, "Wall": False}},
+    {"check": "marginal_ks", "params": {"p": 1, "wall": False, "replicas": 50}},
+    {"check": "moment_table", "tolerance": 1e-20},
+    {"check": "marginal_ks", "params": {"p": 1, "wall": "false"}},
+    {"check": "marginal_ks", "params": {"p": 2.7, "wall": False}},
+])
+def test_verify_plan_rejects_a_malformed_item(tmp_path, capsys, item):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([item]))
+    code, out, err = run_cli(capsys, "verify", "--plan", str(plan))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and item["check"] in err
 
 
 def test_verify_from_file_roundtrip(tmp_path, capsys):

@@ -329,7 +329,7 @@ def test_path_batch_size_cap_comes_before_the_chain(monkeypatch):
     def chain(*args):
         raise ChainReached
 
-    monkeypatch.setattr(discrete_walk, "_batch_core", chain)
+    monkeypatch.setattr(discrete_walk, "sample_marginal_batch", chain)
     with pytest.raises(ChainReached):
         sample_path_batch(2, 117_187, True, 0, 128)
     for p, n, replicas in ((2, 117_187, 129), (3, 20_000_000, 1)):

@@ -16,8 +16,8 @@ from watermelon.spectral_laws import (
 )
 from watermelon.stats_verify import (
     branch_marginal_cdf,
-    gamma_cdf,
     ks_statistic,
+    norm_squared_cdf,
 )
 
 KS95 = 1.3581015157406195
@@ -194,12 +194,12 @@ def test_gue_p2_branch_marginals(branch):
 def test_norm_squared_gamma_laws():
     lam = sample_wall_spectrum_batch(2, 8104, 20_000)
     y = np.sum(lam * lam, axis=1)
-    d_wall = ks_statistic(y, lambda v: [gamma_cdf(5.0, 0.5, float(u)) for u in v])
+    d_wall = ks_statistic(y, norm_squared_cdf(2, 0.5, True))
     assert d_wall <= KS95 / math.sqrt(y.size)
 
     mu = sample_gue_spectrum_batch(2, 8105, 20_000) / math.sqrt(2.0)
     y = np.sum(mu * mu, axis=1)  # scaled to the t = 1/2 law
-    d_free = ks_statistic(y, lambda v: [gamma_cdf(2.0, 0.5, float(u)) for u in v])
+    d_free = ks_statistic(y, norm_squared_cdf(2, 0.5, False))
     assert d_free <= KS95 / math.sqrt(y.size)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 from itertools import combinations
@@ -6,6 +7,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from watermelon import stats_verify
 from watermelon.stats_verify import (
@@ -17,7 +19,6 @@ from watermelon.stats_verify import (
     dequantize_lattice,
     derive_check_seed,
     empirical_moment,
-    gamma_cdf,
     ks_statistic,
     ks_two_sample,
     norm_squared_cdf,
@@ -28,13 +29,15 @@ from watermelon.exact_count import StarQuery, count_stars, watermelon_start
 from watermelon.moments import moment_nowall_p2, moment_wall_p2
 from watermelon.spectral_laws import DensityParams
 
-# values below were produced by a 30-digit mpmath evaluation of the
-# regularized incomplete gamma function
+# (p, t, wall, x, P(|X(t)|^2 <= x)): a 30-digit mpmath evaluation of the
+# regularized incomplete gamma at shape d/2 and scale 2t(1-t), covering the
+# shapes 1/2, 3/2, 2 and 5 of (p, wall) = (1, F), (1, T), (2, F), (2, T)
 GAMMA_ORACLE = [
-    (2.5, 1.0, 3.7, 0.80744956692060427),
-    (7.3, 2.2, 20.0, 0.76935293974969972),
-    (0.5, 1.0, 0.04, 0.22270258921047846),
-    (12.0, 0.5, 9.3, 0.95821012649643341),
+    (1, 0.25, False, 0.04, 0.35583277731628982),
+    (1, 0.5, True, 0.9, 0.69197782844100666),
+    (2, 0.35, False, 1.3, 0.77847418282490454),
+    (2, 0.75, True, 2.2, 0.69670008388560249),
+    (2, 0.5, True, 1.0, 0.052653017343711157),
 ]
 
 
@@ -43,31 +46,35 @@ GAMMA_ORACLE = [
 
 
 def test_gamma_cdf_against_oracle():
-    for shape, scale, x, want in GAMMA_ORACLE:
-        assert gamma_cdf(shape, scale, x) == pytest.approx(want, rel=1e-13)
+    for p, t, wall, x, want in GAMMA_ORACLE:
+        assert norm_squared_cdf(p, t, wall)(x) == pytest.approx(want, rel=1e-13)
 
 
 def test_gamma_cdf_median_of_shape_five():
-    assert gamma_cdf(5.0, 1.0, 4.670908882795983) == pytest.approx(0.5, abs=1e-14)
+    # p = 2 with the wall at t = 1/2 is Gamma(5, 1/2)
+    cdf = norm_squared_cdf(2, 0.5, True)
+    assert cdf(4.670908882795983 / 2.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_gamma_cdf_exponential_reduction():
+    # shape 1 is the exponential law, whatever the scale
     for x in (0.01, 0.7, 3.0, 25.0):
-        assert gamma_cdf(1.0, 2.0, x) == pytest.approx(-math.expm1(-x / 2.0), rel=1e-13)
+        assert gammainc(1.0, x / 2.0) == pytest.approx(-math.expm1(-x / 2.0), rel=1e-13)
 
 
 def test_gamma_cdf_erf_reduction():
-    # shape 1/2, scale 1 is the law of Z^2/2 for standard normal Z
-    assert gamma_cdf(0.5, 1.0, 0.8) == pytest.approx(0.79409678926793169, rel=1e-13)
+    # p = 1 without the wall at t = 1/2 is Gamma(1/2, 1/2), the law of Z^2/4
+    # for standard normal Z, so its CDF at y is erf(sqrt(2y))
+    cdf = norm_squared_cdf(1, 0.5, False)
+    assert cdf(0.4) == pytest.approx(0.79409678926793169, rel=1e-13)
 
 
 def test_gamma_cdf_limits_and_validation():
-    assert gamma_cdf(3.0, 1.0, 0.0) == 0.0
-    assert gamma_cdf(3.0, 1.0, 1e4) == pytest.approx(1.0, abs=1e-15)
+    cdf = norm_squared_cdf(2, 0.5, False)
+    assert cdf(0.0) == 0.0
+    assert cdf(1e4) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        gamma_cdf(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gamma_cdf(1.0, 1.0, -0.5)
+        cdf(-0.5)
 
 
 def test_chi_square_pvalue_dof_two_closed_form():
@@ -84,7 +91,7 @@ def test_chi_square_critical_known_values():
 def test_chi_square_critical_roundtrip():
     for alpha, dof in ((0.05, 3), (0.01, 17), (0.2, 1)):
         crit = chi_square_critical(alpha, dof)
-        assert gamma_cdf(dof / 2.0, 2.0, crit) == pytest.approx(1.0 - alpha)
+        assert gammainc(dof / 2.0, crit / 2.0) == pytest.approx(1.0 - alpha)
 
 
 def test_norm_squared_cdf_dimensions():
@@ -92,10 +99,10 @@ def test_norm_squared_cdf_dimensions():
     # follow from the chi-square laws at t = 1/2
     w = norm_squared_cdf(1, 0.5, True)
     f = norm_squared_cdf(1, 0.5, False)
-    assert w(0.3) == pytest.approx(gamma_cdf(1.5, 0.5, 0.3), rel=1e-14)
-    assert f(0.3) == pytest.approx(gamma_cdf(0.5, 0.5, 0.3), rel=1e-14)
+    assert w(0.3) == pytest.approx(gammainc(1.5, 0.3 / 0.5), rel=1e-14)
+    assert f(0.3) == pytest.approx(gammainc(0.5, 0.3 / 0.5), rel=1e-14)
     ys = np.array([0.0, 0.3, 2.0])
-    assert np.array_equal(w(ys), [gamma_cdf(1.5, 0.5, y) for y in ys])
+    assert np.array_equal(w(ys), [gammainc(1.5, y / 0.5) for y in ys])
     with pytest.raises(ValueError):
         w(np.array([0.3, -0.1]))
     with pytest.raises(ValueError):
@@ -433,12 +440,69 @@ def test_run_suite_worker_count_invariance():
     assert a == b
 
 
-def test_run_suite_tolerance_override():
-    report = run_suite(plan=[{"check": "moment_table", "tolerance": 1e-20}])
-    (rec, runtime) = report.records
-    assert rec.name == "moment_table"
-    assert rec.threshold == 1e-20
-    assert not rec.passed  # float arithmetic cannot reach 1e-20
+# grid sizes in decreasing order: the error grows along them, so the
+# monotone record fails while the bound still holds
+FAILING_PLAN = [{"check": "stirling_error_decay", "params": {"grid_sizes": [10000, 100]}}]
+
+
+def test_run_suite_reports_a_failing_record():
+    report = run_suite(plan=FAILING_PLAN)
+    assert report.verdict is False
+    passed = {r.name: r.passed for r in report.records}
+    assert passed == {
+        "stirling_error_decay/bound": True,
+        "stirling_error_decay/monotone": False,
+        "suite_runtime": True,
+    }
+
+
+@pytest.mark.parametrize("item", [
+    {"check": "sde_time_symmetry", "params": {"p": 1, "Wall": False}},
+    {"check": "marginal_ks", "params": {"p": 1, "wall": False, "replicas": 50}},
+    {"check": "norm_law_sde", "params": {"p": 1}},
+    {"check": "moment_table", "tolerance": 1e-20},
+    {"check": "moment_table", "params": {"base_seed": 1}},
+    {"check": "moment_table", "params": [1]},
+    {"check": "marginal_ks", "params": {"p": 1, "wall": "false"}},
+    {"check": "marginal_ks", "params": {"p": 1, "wall": 0}},
+    {"check": "marginal_ks", "params": {"p": 2.7, "wall": False}},
+    {"check": "marginal_ks", "params": {"p": True, "wall": False}},
+    {"check": "norm_law_sde", "params": {"p": 0, "wall": False}},
+])
+def test_run_suite_rejects_a_malformed_item(item, monkeypatch):
+    # every item is bound before any check runs; none of these reaches a source
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a source was computed for a malformed plan")
+
+    monkeypatch.setattr(stats_verify, "simulate_batch", unreachable)
+    monkeypatch.setattr(stats_verify, "sample_marginal_batch", unreachable)
+    lead = {"check": "stirling_error_decay", "params": {"grid_sizes": [50, 500]}}
+    with pytest.raises(ValueError, match=item["check"]):
+        run_suite(plan=[lead, item])
+
+
+def test_malformed_item_names_the_parameters_of_its_check():
+    with pytest.raises(ValueError, match=r"'replicas' \(parameters: p, wall\)"):
+        run_suite(plan=[{"check": "marginal_ks", "params": {"p": 1, "wall": False, "replicas": 5}}])
+    with pytest.raises(ValueError, match=r"\(parameters: none\)"):
+        run_suite(plan=[{"check": "moment_table", "params": {"x": 1}}])
+
+
+def test_every_check_takes_the_base_seed_then_keywords_only():
+    for name, fn in stats_verify._CHECKS.items():
+        first, *rest = inspect.signature(fn).parameters.values()
+        assert first.name == "base_seed", name
+        assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in rest), name
+
+
+def test_default_plan_spells_out_no_signature_default():
+    # a value is declared once: the plan passes only parameters without a
+    # default, and the sample count the benchmark scales
+    for item in stats_verify.DEFAULT_PLAN:
+        signature = inspect.signature(stats_verify._CHECKS[item["check"]])
+        for key in item["params"]:
+            if key != "samples":
+                assert signature.parameters[key].default is inspect.Parameter.empty, (item, key)
 
 
 def test_run_suite_rejects_unknown_check():
