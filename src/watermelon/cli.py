@@ -393,7 +393,8 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the statistical verification suite")
     v.add_argument("--default", action="store_true", help="run the built-in plan")
     v.add_argument("--plan", help="JSON file: list of {check, params}, params being "
-                   "the check's keyword arguments")
+                   "the check's keyword arguments, each within the domain its "
+                   "annotation declares")
     v.add_argument("--from-file", dest="from_file", help="validate a stored path CSV")
     v.add_argument("--wall", action="store_true", help="wall flag for --from-file")
     v.add_argument("--base-seed", type=int, dest="base_seed")

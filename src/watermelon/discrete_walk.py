@@ -28,11 +28,13 @@ spectral draw, and (seed, r, 0) and (seed, r, 1) for the base and rescue
 streams of an SDE replica.  words is the one reader of them: a 53-bit draw
 is one raw 64-bit word >> 11, word for word numpy's integers(0, 2**53).
 The scalar sampler with seed s is bit-identical to replica 0 under base
-seed s.  Each replica reads one draw per time step (replica_words); the
-inverse-CDF selection compares these integers against exact scaled
-cumulative weights (scalar path) or float cumulative weights (batch path),
-with ties resolving to the lower move index.  Moves are indexed by bit
-mask: bit i set means branch i steps up.
+seed s.  Each replica reads one draw per time step (replica_words), and a
+draw u stands for the uniform (u + 1)/2^53 in (0, 1].  The inverse-CDF
+selection takes the first move whose cumulative weight reaches that
+uniform times the total, compared exactly with scaled integer weights
+(scalar path) or in floats (batch path), so ties resolve to the lower move
+index and a move of weight 0 is never taken, not even by u = 0.  Moves are
+indexed by bit mask: bit i set means branch i steps up.
 
 sample_watermelon returns a WatermelonPath, whose rows are plain integer
 tuples.  That type and the path CSV reader and writer live in paths, which
@@ -127,9 +129,9 @@ def _cdf_table(p, n, wall, k, x):
     """Scaled cumulative weights for exact inverse-CDF selection.
 
     Returns (scaled_cum, total): scaled_cum[j] = (w_0+...+w_j) << 53.
-    A 53-bit uniform integer u selects bisect_left(scaled_cum, u*total),
-    which is the smallest j with u/2^53 <= cum_j/total; an exact tie
-    lands on the lower index.
+    A 53-bit draw u selects bisect_left(scaled_cum, (u+1)*total), which is
+    the smallest j with (u+1)/2^53 <= cum_j/total; an exact tie lands on
+    the lower index, and since (u+1)/2^53 > 0 the chosen w_j is positive.
     """
     weights = step_weights(p, n, wall, k, x)
     total = sum(weights)
@@ -159,7 +161,7 @@ def sample_watermelon(p, n, wall, seed):
     rows = [x]
     for k in range(2 * n):
         cum, total = _cdf_table(p, n, wall, k, x)
-        j = bisect_left(cum, int(u[k]) * total)
+        j = bisect_left(cum, (int(u[k]) + 1) * total)
         x = tuple(a + s for a, s in zip(x, moves[j]))
         rows.append(x)
     return WatermelonPath(p=p, n=n, positions=rows, wall=wall)
@@ -269,6 +271,7 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
         u = np.empty((k_end - k0, b))
         for r in range(lo, hi):
             u[:, r - lo] = replica_words(base_seed, r, k_end - k0, skip=k0)
+        u += 1.0
         u /= _U_DEN
         # the chunk's states as float rows z = (x_0 .. x_{p-1}, 1, M)
         z = np.empty((p + 2, b))

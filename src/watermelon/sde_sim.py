@@ -41,8 +41,6 @@ __all__ = [
     "HalvingError",
     "SdeConfig",
     "Trajectory",
-    "drift_nowall",
-    "drift_wall",
     "read_trajectory_csv",
     "simulate",
     "simulate_batch",
@@ -169,31 +167,6 @@ def _drift_rows(p: int, wall: bool, t: float, x: np.ndarray) -> np.ndarray:
                 s[j] -= c
     out += s
     return out
-
-
-def _check_drift_point(p: int, wall: bool, t: float, x: np.ndarray) -> None:
-    if x.shape != (p,):
-        raise ValueError(f"x must be a length-{p} vector, got shape {x.shape}")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1), got {t}")
-    if p > 1 and np.any(np.diff(x) <= 0.0):
-        raise ValueError("branches must be strictly ordered (ties make the drift singular)")
-    if wall and x[0] <= 0.0:
-        raise ValueError("the lowest branch must be strictly positive with a wall")
-
-
-def drift_wall(p: int, t: float, x) -> np.ndarray:
-    """Drift of the wall ensemble: pinning, wall repulsion, pair repulsion."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_drift_point(p, True, t, x)
-    return _drift_rows(p, True, t, x[:, None])[:, 0]
-
-
-def drift_nowall(p: int, t: float, x) -> np.ndarray:
-    """Drift of the free ensemble: pinning plus inverse-distance repulsion."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_drift_point(p, False, t, x)
-    return _drift_rows(p, False, t, x[:, None])[:, 0]
 
 
 def _margin_rows(p: int, wall: bool, y: np.ndarray):

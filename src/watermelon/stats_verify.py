@@ -18,6 +18,7 @@ function.
 
 import inspect
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -423,19 +424,25 @@ def _ks_threshold(n):
 # --- check implementations -------------------------------------------------
 #
 # Every check is _check_x(base_seed, *, <its parameters>) and returns a list
-# of CheckRecord.  Its signature is the one place that names a parameter and
-# its default: _run_plan_item binds a plan item's params against it, so an
-# unknown or missing parameter is an error, not a silent default.
-# Thresholds are constants of the checks.
+# of CheckRecord.  Its signature is the one place that names a parameter,
+# its default and its domain: each keyword's annotation is the collection of
+# values it admits.  _bind_plan_item binds a plan item's params against the
+# signature and refuses an unknown or missing parameter, or a value outside
+# its domain, before any item runs.  Thresholds, sample grids and orders are
+# constants of the checks.
+
+# the domain of p where a check supports every p, and of a sample count
+_POSITIVE = range(1, sys.maxsize)
+_WALL = (False, True)
 
 
-def _check_count_oracle_sweep(base_seed, *, max_steps=8):
+def _check_count_oracle_sweep(base_seed):
     t0 = time.monotonic()
     mismatches = 0
     cases = 0
     for p in (1, 2, 3):
         for wall in (True, False):
-            for m in range(1, max_steps + 1):
+            for m in range(1, 9):
                 for e in _candidate_endpoints(p, m, wall):
                     q = StarQuery(p, m, e, wall)
                     if count_stars(q) != enumerate_brute_force(q):
@@ -456,7 +463,7 @@ def _check_count_oracle_sweep(base_seed, *, max_steps=8):
             cases,
             0,
             detail=(
-                f"closed-form vs exhaustive star counts, p <= 3, m <= {max_steps}, "
+                "closed-form vs exhaustive star counts, p <= 3, m <= 8, "
                 "both ensembles, every admissible endpoint"
             ),
         ),
@@ -472,11 +479,10 @@ def _check_count_oracle_sweep(base_seed, *, max_steps=8):
     ]
 
 
-def _check_sampler_uniformity(base_seed, *, samples=100_000, cases=((1, 3), (2, 2))):
+def _check_sampler_uniformity(base_seed, *, samples: _POSITIVE = 100_000):
     t0 = time.monotonic()
     out = []
-    for case in cases:
-        p, n = int(case[0]), int(case[1])
+    for p, n in ((1, 3), (2, 2)):
         seed = derive_check_seed(base_seed, f"sampler_uniformity/{p}/{n}")
         paths = sample_path_batch(p, n, True, seed, samples)
         flat = np.ascontiguousarray(paths.reshape(samples, -1))
@@ -504,7 +510,7 @@ def _check_sampler_uniformity(base_seed, *, samples=100_000, cases=((1, 3), (2, 
     return out
 
 
-def _check_marginal_ks(base_seed, *, p, wall):
+def _check_marginal_ks(base_seed, *, p: range(1, 3), wall: _WALL):
     snaps = _discrete_source(p, wall, base_seed, 0.5)
     rng = _jitter_rng(base_seed, f"marginal_ks/{p}/{int(wall)}/jitter")
     vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
@@ -557,7 +563,7 @@ def _check_norm_gamma_oracle(base_seed):
     ]
 
 
-def _check_norm_law_discrete(base_seed, *, p, wall):
+def _check_norm_law_discrete(base_seed, *, p: _POSITIVE, wall: _WALL):
     samples = [_discrete_source(p, wall, base_seed, t) for t in _SOURCE_TIMES]
     rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
     n_obs = samples[0].shape[0]
@@ -583,7 +589,7 @@ def _check_norm_law_discrete(base_seed, *, p, wall):
     return out
 
 
-def _check_norm_law_sde(base_seed, *, p, wall):
+def _check_norm_law_sde(base_seed, *, p: _POSITIVE, wall: _WALL):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     n_obs = snaps.shape[0]
     d = p * (2 * p + 1) if wall else p * p
@@ -638,22 +644,20 @@ def _check_moment_table(base_seed):
     ]
 
 
-def _check_moment_mc(base_seed, *, source, wall, max_order=4):
+def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _WALL):
     if source == "discrete_walk":
         snaps = _discrete_source(2, wall, base_seed, 0.5)
         vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
         seed = _source_seed("discrete", 2, wall, base_seed)
         short = "discrete"
-    elif source == "sde_sim":
+    else:
         vals = _sde_source(2, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
         seed = _source_seed("sde", 2, wall, base_seed, dt=_SDE_DT)
         short = "sde"
-    else:
-        raise ValueError(f"unknown moment source {source!r}")
     worst = 0.0
     for branch in (1, 2):
         col = vals[:, branch - 1]
-        for order in range(1, max_order + 1):
+        for order in range(1, 5):
             mean, se = empirical_moment(col, order)
             want = evaluate_moment(
                 MomentQuery(wall=wall, order=order, t=0.5, branch=branch)
@@ -668,13 +672,13 @@ def _check_moment_mc(base_seed, *, source, wall, max_order=4):
             seed,
             detail=(
                 "worst |z| of sample vs closed-form branch moments, "
-                f"orders 1..{max_order}, both branches, t = 1/2"
+                "orders 1..4, both branches, t = 1/2"
             ),
         )
     ]
 
 
-def _check_symmetric_poly_mc(base_seed, *, p, wall):
+def _check_symmetric_poly_mc(base_seed, *, p: range(1, 4), wall: _WALL):
     snaps = _discrete_source(p, wall, base_seed, 0.5)
     x = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
     y = x * x if wall else x
@@ -700,7 +704,7 @@ def _check_symmetric_poly_mc(base_seed, *, p, wall):
     ]
 
 
-def _check_sde_invariants(base_seed, *, p, wall):
+def _check_sde_invariants(base_seed, *, p: _POSITIVE, wall: _WALL):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     bad = int(np.count_nonzero(~np.isfinite(snaps)))
     bad += int(np.count_nonzero(np.diff(snaps, axis=2) <= 0.0))
@@ -722,7 +726,7 @@ def _check_sde_invariants(base_seed, *, p, wall):
     ]
 
 
-def _check_sde_step_halving(base_seed, *, p, wall):
+def _check_sde_step_halving(base_seed, *, p: _POSITIVE, wall: _WALL):
     base = _sde_source(p, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
     fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, _SDE_TWIN_RECORD_TIMES.index(0.5), :]
     yb = np.sum(base * base, axis=1)
@@ -746,7 +750,7 @@ def _check_sde_step_halving(base_seed, *, p, wall):
     ]
 
 
-def _check_sde_time_symmetry(base_seed, *, p, wall):
+def _check_sde_time_symmetry(base_seed, *, p: _POSITIVE, wall: _WALL):
     snaps = _sde_source(p, wall, base_seed, _SDE_DT)
     half = snaps.shape[0] // 2
     a = snaps[:half, _SDE_RECORD_TIMES.index(0.35), :]
@@ -776,8 +780,13 @@ def _power_of_ten(n):
     return f"1e{len(digits) - 1}" if digits.rstrip("0") == "1" else digits
 
 
-def _check_stirling_error_decay(base_seed, *, grid_sizes=(100, 1000, 10_000)):
-    ns = tuple(int(v) for v in grid_sizes)
+# the n at which stirling_error_decay reads the ratio error, in increasing
+# order: the monotone record counts grid points where it fails to shrink
+_STIRLING_GRID = (100, 1000, 10_000)
+
+
+def _check_stirling_error_decay(base_seed):
+    ns = _STIRLING_GRID
     worst_scaled = 0.0
     non_decreasing = 0
     pts = 0
@@ -926,12 +935,20 @@ DEFAULT_PLAN = (
 )
 
 
+def _describe_domain(allowed):
+    if isinstance(allowed, range):
+        top = "" if allowed.stop == sys.maxsize else f" and <= {allowed.stop - 1}"
+        return f"an integer >= {allowed.start}{top}"
+    return "one of " + ", ".join(map(repr, allowed))
+
+
 def _bind_plan_item(item, base_seed):
     """(check function, params) of a plan item, its params bound against the check.
 
     ValueError, naming the check, for an item key other than check and
-    params, an unknown, misspelled or missing parameter, a wall that is not
-    a boolean, or a p that is not an integer >= 1.
+    params, an unknown, misspelled or missing parameter, or a value outside
+    the domain its parameter's annotation declares.  A value must have the
+    type of the domain's members, so true is not an integer and 2.0 is not 2.
     """
     check = item["check"]
     fn = _CHECKS.get(check)
@@ -949,11 +966,12 @@ def _bind_plan_item(item, base_seed):
     except TypeError as err:
         names = ", ".join(list(signature.parameters)[1:]) or "none"
         raise ValueError(f"{check}: {err} (parameters: {names})") from None
-    wall, p = params.get("wall", False), params.get("p", 1)
-    if not isinstance(wall, bool):
-        raise ValueError(f"{check}: wall must be true or false, got {wall!r}")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"{check}: p must be an integer >= 1, got {p!r}")
+    for name, value in params.items():
+        allowed = signature.parameters[name].annotation
+        if type(value) is not type(allowed[0]) or value not in allowed:
+            raise ValueError(
+                f"{check}: {name} must be {_describe_domain(allowed)}, got {value!r}"
+            )
     return fn, params
 
 
@@ -1002,8 +1020,10 @@ def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
     are seeded by source tags and recomputed identically wherever needed,
     so the report bytes do not depend on the worker count.  Plan items
     are dicts with the key "check" and an optional "params", the check's
-    keyword arguments.  Every item is bound against its check before any
-    runs, so a malformed item raises ValueError at once.  The default plan
+    keyword arguments; each keyword's annotation is its domain, the values
+    it admits.  Every item is bound against its check before any runs, so
+    an unknown parameter or a value outside its domain raises ValueError
+    before any item runs or any source is computed.  The default plan
     finishes well inside its ten minute budget on a single core.
     """
     t_start = time.monotonic()

@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import watermelon
+from watermelon import stats_verify
 from watermelon.cli import BRANCH_COLORS, RenderSpec, _fmt, main
 from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
@@ -322,11 +323,11 @@ def test_verify_plan_file(tmp_path, capsys):
     assert names == sorted(names)
 
 
-def test_verify_plan_failure_exit_code(tmp_path, capsys):
+def test_verify_plan_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a decreasing grid fails the monotone record
+    monkeypatch.setattr(stats_verify, "_STIRLING_GRID", (10000, 100))
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(
-        [{"check": "stirling_error_decay", "params": {"grid_sizes": [10000, 100]}}]
-    ))
+    plan.write_text(json.dumps([{"check": "stirling_error_decay", "params": {}}]))
     code, out, _ = run_cli(capsys, "verify", "--plan", str(plan))
     assert code == 1
     assert json.loads(out)["verdict"] is False

@@ -172,6 +172,21 @@ def test_batch_replica_zero_matches_scalar():
         assert np.array_equal(paths[0], scalar.positions)
 
 
+@pytest.mark.parametrize("word", [0, (1 << 53) - 1])
+@pytest.mark.parametrize("p,n,wall", [(1, 4, True), (2, 3, True), (2, 3, False), (3, 2, True)])
+def test_extreme_draws_take_only_moves_of_positive_weight(monkeypatch, word, p, n, wall):
+    # the smallest draw takes the first move of positive weight at every
+    # step, the largest draw the last, in both samplers
+    monkeypatch.setattr(discrete_walk, "replica_words",
+                        lambda base_seed, replica, count, skip=0: np.full(count, word, np.uint64))
+    rows = sample_watermelon(p, n, wall, 0).positions
+    assert np.array_equal(sample_path_batch(p, n, wall, 0, 2), [rows, rows])
+    for k, (x, y) in enumerate(zip(rows, rows[1:])):
+        live = [j for j, w in enumerate(step_weights(p, n, wall, k, x)) if w > 0]
+        eps = discrete_walk._moves(p)[live[0] if word == 0 else live[-1]]
+        assert y == tuple(a + s for a, s in zip(x, eps))
+
+
 def test_batch_chunk_invariance_and_snapshot_order():
     a = sample_marginal_batch(2, 40, True, 9, 10, [0, 40, 80], chunk=3)
     b = sample_marginal_batch(2, 40, True, 9, 10, [80, 0, 40], chunk=1024)

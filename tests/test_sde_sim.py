@@ -10,8 +10,6 @@ from watermelon.sde_sim import (
     HalvingError,
     SdeConfig,
     Trajectory,
-    drift_nowall,
-    drift_wall,
     read_trajectory_csv,
     simulate,
     simulate_batch,
@@ -25,50 +23,44 @@ from watermelon.discrete_walk import derive_replica_rng, words
 # drift fields
 
 
+def drift(p, wall, t, x):
+    """The integrator's drift at one state x, as a length-p vector."""
+    return sde_sim._drift_rows(p, wall, t, np.asarray(x, dtype=np.float64)[:, None])[:, 0]
+
+
 def test_drift_wall_p1_balances_at_one():
     # -x/(1-t) + 1/x vanishes at x = 1, t = 0
-    assert drift_wall(1, 0.0, [1.0]) == pytest.approx([0.0], abs=1e-15)
+    assert drift(1, True, 0.0, [1.0]) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_drift_wall_p2_example():
     # x = (1, 2): branch 1 gets -1 + 1 + 2/(1-4) = -2/3,
     # branch 2 gets -2 + 1/2 + 4/(4-1) = -1/6
-    out = drift_wall(2, 0.0, [1.0, 2.0])
+    out = drift(2, True, 0.0, [1.0, 2.0])
     assert out == pytest.approx([-2.0 / 3.0, -1.0 / 6.0], rel=1e-14)
 
 
 def test_drift_nowall_p2_example():
-    out = drift_nowall(2, 0.0, [-1.0, 1.0])
+    out = drift(2, False, 0.0, [-1.0, 1.0])
     assert out == pytest.approx([0.5, -0.5], rel=1e-14)
 
 
 def test_drift_nowall_p3_antisymmetry():
     x = np.array([-1.3, -0.2, 1.5])
-    fwd = drift_nowall(3, 0.0, x)
-    rev = drift_nowall(3, 0.0, -x[::-1])
+    fwd = drift(3, False, 0.0, x)
+    rev = drift(3, False, 0.0, -x[::-1])
     # mirroring the configuration mirrors the drift
     assert fwd == pytest.approx(-rev[::-1], rel=1e-13)
 
 
 def test_drift_time_factor():
     x = [0.4, 1.1]
-    near = np.asarray(drift_wall(2, 0.75, x))
-    far = np.asarray(drift_wall(2, 0.0, x))
+    near = drift(2, True, 0.75, x)
+    far = drift(2, True, 0.0, x)
     # only the -x/(1-t) term moves with t
     delta = near - far
     expect = -np.asarray(x) * (1.0 / 0.25 - 1.0)
     assert delta == pytest.approx(expect, rel=1e-13)
-
-
-def test_drift_validation():
-    with pytest.raises(ValueError, match="ties"):
-        drift_nowall(2, 0.0, [0.5, 0.5])
-    with pytest.raises(ValueError, match="positive"):
-        drift_wall(2, 0.0, [-0.1, 0.5])
-    with pytest.raises(ValueError, match="t must"):
-        drift_wall(1, 1.0, [1.0])
-    with pytest.raises(ValueError, match="length-2"):
-        drift_wall(2, 0.0, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ def test_drift_matches_pair_formula_past_seven_branches(p, wall):
     t = 0.3
     for _ in range(20):
         x = np.sort(rng.uniform(0.1, 4.0, p)) if wall else np.sort(rng.normal(0.0, 2.0, p))
-        got = (drift_wall if wall else drift_nowall)(p, t, x)
+        got = drift(p, wall, t, x)
         for i in range(p):
             terms = [-x[i] / (1.0 - t)] + ([1.0 / x[i]] if wall else [])
             for j in range(p):

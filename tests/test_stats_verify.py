@@ -440,12 +440,13 @@ def test_run_suite_worker_count_invariance():
     assert a == b
 
 
-# grid sizes in decreasing order: the error grows along them, so the
-# monotone record fails while the bound still holds
-FAILING_PLAN = [{"check": "stirling_error_decay", "params": {"grid_sizes": [10000, 100]}}]
+FAILING_PLAN = [{"check": "stirling_error_decay", "params": {}}]
 
 
-def test_run_suite_reports_a_failing_record():
+def test_run_suite_reports_a_failing_record(monkeypatch):
+    # grid sizes in decreasing order: the error grows along them, so the
+    # monotone record fails while the bound still holds
+    monkeypatch.setattr(stats_verify, "_STIRLING_GRID", (10000, 100))
     report = run_suite(plan=FAILING_PLAN)
     assert report.verdict is False
     passed = {r.name: r.passed for r in report.records}
@@ -468,6 +469,18 @@ def test_run_suite_reports_a_failing_record():
     {"check": "marginal_ks", "params": {"p": 2.7, "wall": False}},
     {"check": "marginal_ks", "params": {"p": True, "wall": False}},
     {"check": "norm_law_sde", "params": {"p": 0, "wall": False}},
+    # parameters that are constants of their checks
+    {"check": "stirling_error_decay", "params": {"grid_sizes": []}},
+    {"check": "moment_mc", "params": {"source": "sde_sim", "wall": False, "max_order": 0}},
+    {"check": "count_oracle_sweep", "params": {"max_steps": 0}},
+    {"check": "count_oracle_sweep", "params": {"max_steps": 9}},
+    {"check": "sampler_uniformity", "params": {"cases": []}},
+    {"check": "sampler_uniformity", "params": {"samples": 200, "cases": [[1.5, 3.9]]}},
+    # values outside a domain the check body used to refuse, or never did
+    {"check": "marginal_ks", "params": {"p": 3, "wall": True}},
+    {"check": "symmetric_poly_mc", "params": {"p": 4, "wall": False}},
+    {"check": "moment_mc", "params": {"source": "sde", "wall": False}},
+    {"check": "sampler_uniformity", "params": {"samples": True}},
 ])
 def test_run_suite_rejects_a_malformed_item(item, monkeypatch):
     # every item is bound before any check runs; none of these reaches a source
@@ -476,7 +489,7 @@ def test_run_suite_rejects_a_malformed_item(item, monkeypatch):
 
     monkeypatch.setattr(stats_verify, "simulate_batch", unreachable)
     monkeypatch.setattr(stats_verify, "sample_marginal_batch", unreachable)
-    lead = {"check": "stirling_error_decay", "params": {"grid_sizes": [50, 500]}}
+    lead = {"check": "moment_table", "params": {}}
     with pytest.raises(ValueError, match=item["check"]):
         run_suite(plan=[lead, item])
 
@@ -488,11 +501,31 @@ def test_malformed_item_names_the_parameters_of_its_check():
         run_suite(plan=[{"check": "moment_table", "params": {"x": 1}}])
 
 
+@pytest.mark.parametrize("item,message", [
+    ({"check": "marginal_ks", "params": {"p": 3, "wall": True}},
+     "p must be an integer >= 1 and <= 2, got 3"),
+    ({"check": "norm_law_sde", "params": {"p": 2.0, "wall": True}},
+     "p must be an integer >= 1, got 2.0"),
+    ({"check": "sde_invariants", "params": {"p": 1, "wall": 1}},
+     "wall must be one of False, True, got 1"),
+    ({"check": "moment_mc", "params": {"source": "sde", "wall": True}},
+     "source must be one of 'discrete_walk', 'sde_sim', got 'sde'"),
+    ({"check": "sampler_uniformity", "params": {"samples": 0}},
+     "samples must be an integer >= 1, got 0"),
+])
+def test_out_of_domain_value_names_its_domain(item, message):
+    with pytest.raises(ValueError) as info:
+        run_suite(plan=[item])
+    assert str(info.value) == f"{item['check']}: {message}"
+
+
 def test_every_check_takes_the_base_seed_then_keywords_only():
     for name, fn in stats_verify._CHECKS.items():
         first, *rest = inspect.signature(fn).parameters.values()
         assert first.name == "base_seed", name
         assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in rest), name
+        # the binder reads each keyword's annotation as its domain
+        assert all(p.annotation is not inspect.Parameter.empty for p in rest), name
 
 
 def test_default_plan_spells_out_no_signature_default():
@@ -521,19 +554,6 @@ def test_run_suite_empty_plan_passes_vacuously():
     report = run_suite(plan=[])
     assert report.records == ()
     assert report.verdict is True
-
-
-def test_record_details_name_the_parameters_that_ran(monkeypatch):
-    monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
-    plan = [
-        {"check": "count_oracle_sweep", "params": {"max_steps": 2}},
-        {"check": "moment_mc", "params": {"source": "sde_sim", "wall": False, "max_order": 2}},
-        {"check": "stirling_error_decay", "params": {"grid_sizes": [50, 500]}},
-    ]
-    details = {r.name: r.detail for r in run_suite(plan=plan, base_seed=77).records}
-    assert ", m <= 2," in details["count_oracle_sweep/equality"]
-    assert " orders 1..2," in details["moment_mc/sde/nowall"]
-    assert " n in (50, 500);" in details["stirling_error_decay/bound"]
 
 
 def test_source_groups_of_default_plan():
