@@ -38,7 +38,6 @@ class RenderSpec:
     height: int = 360
     margin: int = 24
     stroke_width: float = 1.5
-    colors: tuple = BRANCH_COLORS
     wall_axis: bool = False
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class RenderSpec:
             raise ValueError("margin must leave a positive drawing area")
         if not self.stroke_width > 0:
             raise ValueError("stroke width must be positive")
-        if not self.colors:
-            raise ValueError("need at least one branch color")
 
 
 def _fmt(x):
@@ -149,6 +146,7 @@ def _cmd_sample(args):
 def _cmd_simulate(args):
     from .sde_sim import (
         SdeConfig,
+        _check_trajectory_size,
         _grid,
         _record_indices,
         simulate,
@@ -165,7 +163,9 @@ def _cmd_simulate(args):
         max_halvings=args.max_halvings,
         seed=_env_seed(args.seed, 0),
     )
-    # usage errors first: nothing is integrated or written before these pass
+    # usage errors first: nothing is integrated or written before these
+    # pass, and no grid is built for a dt too small to hold one
+    _check_trajectory_size(cfg)
     if args.summary_out is not None:
         if args.replicas < 2:
             raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
@@ -300,7 +300,7 @@ def _render_svg(path, spec):
         )
     for b in range(path.p):
         pts = " ".join(f"{sx(k):.2f},{sy(row[b]):.2f}" for k, row in enumerate(rows))
-        color = spec.colors[b % len(spec.colors)]
+        color = BRANCH_COLORS[b % len(BRANCH_COLORS)]
         lines.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{spec.stroke_width}" points="{pts}" />'

@@ -189,14 +189,14 @@ def normalized_table_entry(wall: bool, branch: int, order: int) -> float:
     return norm * fn(branch, order, t) / u ** (order / 2.0)
 
 
-def first_moments_table(max_order: int = 6) -> list[dict[str, object]]:
-    """The table of normalized branch moments for orders 1 through max_order.
+def first_moments_table() -> list[dict[str, object]]:
+    """The table of normalized branch moments for orders 1 through 6.
 
     Each row carries the four normalized entries (both branches, both
     ensembles) as floats, ready for JSON emission by the command line tool.
     """
     rows: list[dict[str, object]] = []
-    for order in range(1, max_order + 1):
+    for order in range(1, 7):
         rows.append(
             {
                 "order": order,

@@ -203,9 +203,24 @@ def _advance_scalar(
     return _advance_scalar(cfg, mid, s + 0.5 * h, 0.5 * h, rng, depth + 1)
 
 
+def _steps(cfg: SdeConfig) -> int:
+    """Base steps on [t0, 1 - t0]; the grid holds one more point, or as many."""
+    return max(1, int(math.ceil((1.0 - 2.0 * cfg.t0) / cfg.dt - 1e-9)))
+
+
+def _check_trajectory_size(cfg: SdeConfig) -> None:
+    """ValueError when one full trajectory would hold over 4,000,000 values.
+
+    Decided from the step count, before any grid exists.  The float count
+    is tested first: for a tiny dt it is inf, which math.ceil refuses.
+    """
+    steps = (1.0 - 2.0 * cfg.t0) / cfg.dt
+    if steps * cfg.p > 4_000_000 or (_steps(cfg) + 1) * cfg.p > 4_000_000:
+        raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
+
+
 def _grid(cfg: SdeConfig) -> np.ndarray:
-    span = 1.0 - 2.0 * cfg.t0
-    n_steps = max(1, int(math.ceil(span / cfg.dt - 1e-9)))
+    n_steps = _steps(cfg)
     times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
     times[-1] = 1.0 - cfg.t0
     if times[-1] <= times[-2]:
@@ -305,9 +320,8 @@ def simulate(config: SdeConfig) -> Trajectory:
     Identical to replica 0 of a batch with the same configuration: its
     snapshot at every grid index.
     """
+    _check_trajectory_size(config)
     times = _grid(config)
-    if len(times) * config.p > 4_000_000:
-        raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
     snaps, _ = _integrate(config, 1, range(len(times)), chunk=1)
     return Trajectory(times=times, values=snaps[0], wall=config.wall)
 
@@ -337,11 +351,11 @@ def simulate_batch(
     return snaps
 
 
-def summarize_batch(config: SdeConfig, replicas: int, record_times, max_order: int = 4) -> dict:
+def summarize_batch(config: SdeConfig, replicas: int, record_times) -> dict:
     """Sample-moment summary of a batch at the requested times.
 
-    Returns plain floats ready for JSON: per time and branch the moments up
-    to max_order with standard errors, plus the squared-norm mean.  A
+    Returns plain floats ready for JSON: per time and branch the moments of
+    orders 1 to 4 with standard errors, plus the squared-norm mean.  A
     standard error needs at least two replicas.
     """
     if replicas < 2:
@@ -361,7 +375,7 @@ def summarize_batch(config: SdeConfig, replicas: int, record_times, max_order: i
         for b in range(config.p):
             col = block[:, b]
             per_branch = []
-            for r in range(1, max_order + 1):
+            for r in range(1, 5):
                 v = col**r
                 per_branch.append(
                     {

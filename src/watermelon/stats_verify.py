@@ -265,11 +265,11 @@ def dequantize_lattice(positions, n, wall, rng=None):
 # ---------------------------------------------------------------------------
 # the verification suite
 #
-# Checks draw from two kinds of shared sample sources, cached per process
-# and seeded from a tag that names the source, never the consuming check.
-# Any worker that needs a source recomputes the identical batch, so the
-# report is a pure function of (base_seed, plan) regardless of how many
-# processes run it.
+# Checks read shared sample sources through _source, which caches them per
+# process and seeds each from a tag that names the source, never the
+# consuming check.  Any worker that needs a source recomputes the identical
+# batch, so the report is a pure function of (base_seed, plan) regardless
+# of how many processes run it.
 
 # First member of the fixed candidate sequence 20260822, 20260823, ...
 # whose default plan passes every record.  The statistical checks sit at
@@ -283,68 +283,45 @@ SUITE_BUDGET_SECONDS = 600.0
 _SOURCE_STEPS = 2048
 _SOURCE_REPLICAS = 10_000
 _SOURCE_TIMES = (0.25, 0.5, 0.75)
-_DISCRETE_K_INDICES = (1024, 2048, 3072)
 _SDE_RECORD_TIMES = (0.25, 0.35, 0.5, 0.65, 0.75)
-# the dt/2 twin is read only at t = 1/2, by sde_step_halving
-_SDE_TWIN_RECORD_TIMES = (0.5,)
 _SDE_DT = 1e-4
 
-
-def _source_seed(kind, p, wall, base_seed, dt=None):
-    tag = f"source/{kind}/{p}/{int(wall)}"
-    if dt is not None:
-        tag += f"/{dt:.0e}"
-    return derive_check_seed(base_seed, tag)
+# (kind, p, wall, base_seed, replicas at call time) -> {t: read-only snapshot}
+_SOURCES = {}
 
 
-# (p, wall, base_seed, replicas) -> {step k: (replicas, p) snapshot}, the
-# lattice source's snapshots at every source time up to the furthest one
-# read so far
-_DISCRETE_SNAPSHOTS = {}
+def _source(kind, p, wall, base_seed, t):
+    """(read-only snapshot at time t, shape (N, p), seed) of a shared source.
 
-
-def _discrete_source(p, wall, base_seed, t):
-    """Cross-section of the n = 2048 lattice source at t in _SOURCE_TIMES, shape (N, p).
-
-    Each source's chain runs only as far as the latest time read from it in
-    this process.  Its snapshots at every source time up to there share
-    one cache entry, keyed on the replica count at call time too; a later
-    t continues the chain from the latest of them
-    (sample_marginal_batch's start), so no step is computed twice and every
-    snapshot equals that of one uninterrupted run.  Snapshots are read-only.
+    "discrete" is the n = 2048 lattice chain at _SOURCE_TIMES.  It runs only
+    as far as the latest t read from it in this process; a later t continues
+    it from its latest snapshot (sample_marginal_batch's start), so no step
+    is computed twice and every snapshot equals that of one uninterrupted
+    run.  "sde" is the dt = 1e-4 Euler source at _SDE_RECORD_TIMES, and
+    "sde_twin" its dt/2 twin, which records only t = 1/2 and stops there.
     """
-    k = _DISCRETE_K_INDICES[_SOURCE_TIMES.index(t)]
-    snaps = _DISCRETE_SNAPSHOTS.setdefault((p, wall, base_seed, _SOURCE_REPLICAS), {})
-    if k not in snaps:
-        k0 = max(snaps, default=0)
-        ks = [j for j in _DISCRETE_K_INDICES if k0 < j <= k]
-        seed = _source_seed("discrete", p, wall, base_seed)
-        batch = sample_marginal_batch(
-            p, _SOURCE_STEPS, wall, seed, _SOURCE_REPLICAS, ks,
-            start=(k0, snaps[k0]) if snaps else None,
-        )
+    if kind == "discrete":
+        seed = derive_check_seed(base_seed, f"source/discrete/{p}/{int(wall)}")
+    else:
+        dt = _SDE_DT if kind == "sde" else _SDE_DT / 2
+        seed = derive_check_seed(base_seed, f"source/sde/{p}/{int(wall)}/{dt:.0e}")
+    snaps = _SOURCES.setdefault((kind, p, wall, base_seed, _SOURCE_REPLICAS), {})
+    if t not in snaps:
+        if kind == "discrete":
+            t0 = max(snaps, default=0.0)
+            times = [s for s in _SOURCE_TIMES if t0 < s <= t]
+            batch = sample_marginal_batch(
+                p, _SOURCE_STEPS, wall, seed, _SOURCE_REPLICAS,
+                [round(2 * _SOURCE_STEPS * s) for s in times],
+                start=(round(2 * _SOURCE_STEPS * t0), snaps[t0]) if snaps else None,
+            )
+        else:
+            times = _SDE_RECORD_TIMES if kind == "sde" else (0.5,)
+            cfg = SdeConfig(p=p, wall=wall, dt=dt, seed=seed)
+            batch = simulate_batch(cfg, _SOURCE_REPLICAS, times)
         batch.setflags(write=False)
-        snaps.update(zip(ks, batch.transpose(1, 0, 2)))
-    return snaps[k]
-
-
-def _sde_source(p, wall, base_seed, dt, /):
-    """Euler snapshots at the five shared record times, shape (N, 5, p).
-
-    The dt/2 twin records only _SDE_TWIN_RECORD_TIMES, shape (N, 1, p), so
-    its integration stops at t = 1/2.  The cache key is the arguments and
-    the replica count at call time, so each source is computed once per
-    process and size.
-    """
-    return _sde_batch(p, wall, base_seed, dt, _SOURCE_REPLICAS)
-
-
-@lru_cache(maxsize=None)
-def _sde_batch(p, wall, base_seed, dt, replicas, /):
-    seed = _source_seed("sde", p, wall, base_seed, dt=dt)
-    cfg = SdeConfig(p=p, wall=wall, dt=dt, seed=seed)
-    times = _SDE_RECORD_TIMES if dt == _SDE_DT else _SDE_TWIN_RECORD_TIMES
-    return simulate_batch(cfg, replicas, times)
+        snaps.update(zip(times, batch.transpose(1, 0, 2)))
+    return snaps[t], seed
 
 
 def _jitter_rng(base_seed, name):
@@ -511,11 +488,10 @@ def _check_sampler_uniformity(base_seed, *, samples: _POSITIVE = 100_000):
 
 
 def _check_marginal_ks(base_seed, *, p: range(1, 3), wall: _WALL):
-    snaps = _discrete_source(p, wall, base_seed, 0.5)
+    snaps, seed = _source("discrete", p, wall, base_seed, 0.5)
     rng = _jitter_rng(base_seed, f"marginal_ks/{p}/{int(wall)}/jitter")
     vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
     n_obs = vals.shape[0]
-    seed = _source_seed("discrete", p, wall, base_seed)
     out = []
     for b in range(p):
         d = ks_statistic(vals[:, b], _quadrature_cdf(p, 0.5, wall, b))
@@ -564,13 +540,12 @@ def _check_norm_gamma_oracle(base_seed):
 
 
 def _check_norm_law_discrete(base_seed, *, p: _POSITIVE, wall: _WALL):
-    samples = [_discrete_source(p, wall, base_seed, t) for t in _SOURCE_TIMES]
     rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
-    n_obs = samples[0].shape[0]
     d = p * (2 * p + 1) if wall else p * p
-    seed = _source_seed("discrete", p, wall, base_seed)
     out = []
-    for t, snaps in zip(_SOURCE_TIMES, samples):
+    for t in _SOURCE_TIMES:
+        snaps, seed = _source("discrete", p, wall, base_seed, t)
+        n_obs = snaps.shape[0]
         vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
         y = np.sum(vals * vals, axis=1)
         out.append(
@@ -590,13 +565,11 @@ def _check_norm_law_discrete(base_seed, *, p: _POSITIVE, wall: _WALL):
 
 
 def _check_norm_law_sde(base_seed, *, p: _POSITIVE, wall: _WALL):
-    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
-    n_obs = snaps.shape[0]
     d = p * (2 * p + 1) if wall else p * p
-    seed = _source_seed("sde", p, wall, base_seed, dt=_SDE_DT)
     out = []
     for t in _SOURCE_TIMES:
-        vals = snaps[:, _SDE_RECORD_TIMES.index(t), :]
+        vals, seed = _source("sde", p, wall, base_seed, t)
+        n_obs = vals.shape[0]
         y = np.sum(vals * vals, axis=1)
         out.append(
             _record(
@@ -614,7 +587,7 @@ def _check_norm_law_sde(base_seed, *, p: _POSITIVE, wall: _WALL):
 def _check_moment_table(base_seed):
     worst = 0.0
     count = 0
-    rows = {row["order"]: row for row in first_moments_table(6)}
+    rows = {row["order"]: row for row in first_moments_table()}
     columns = {
         (False, 1): "nowall_lower",
         (False, 2): "nowall_upper",
@@ -645,15 +618,10 @@ def _check_moment_table(base_seed):
 
 
 def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _WALL):
-    if source == "discrete_walk":
-        snaps = _discrete_source(2, wall, base_seed, 0.5)
-        vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
-        seed = _source_seed("discrete", 2, wall, base_seed)
-        short = "discrete"
-    else:
-        vals = _sde_source(2, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
-        seed = _source_seed("sde", 2, wall, base_seed, dt=_SDE_DT)
-        short = "sde"
+    kind = "discrete" if source == "discrete_walk" else "sde"
+    vals, seed = _source(kind, 2, wall, base_seed, 0.5)
+    if kind == "discrete":
+        vals = dequantize_lattice(vals, _SOURCE_STEPS, wall)
     worst = 0.0
     for branch in (1, 2):
         col = vals[:, branch - 1]
@@ -665,7 +633,7 @@ def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _
             worst = max(worst, abs(mean - want) / se)
     return [
         _record(
-            f"moment_mc/{short}/{_wall_tag(wall)}",
+            f"moment_mc/{kind}/{_wall_tag(wall)}",
             worst,
             3.0,
             vals.shape[0],
@@ -679,7 +647,7 @@ def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _
 
 
 def _check_symmetric_poly_mc(base_seed, *, p: range(1, 4), wall: _WALL):
-    snaps = _discrete_source(p, wall, base_seed, 0.5)
+    snaps, seed = _source("discrete", p, wall, base_seed, 0.5)
     x = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
     y = x * x if wall else x
     closed = sym_wall_expectation if wall else sym_nowall_expectation
@@ -695,7 +663,7 @@ def _check_symmetric_poly_mc(base_seed, *, p: range(1, 4), wall: _WALL):
             worst,
             3.0,
             n_obs,
-            _source_seed("discrete", p, wall, base_seed),
+            seed,
             detail=(
                 "worst |z| of elementary symmetric polynomial means "
                 "(squared branches with the wall) vs closed forms, k <= p, t = 1/2"
@@ -705,18 +673,20 @@ def _check_symmetric_poly_mc(base_seed, *, p: range(1, 4), wall: _WALL):
 
 
 def _check_sde_invariants(base_seed, *, p: _POSITIVE, wall: _WALL):
-    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
-    bad = int(np.count_nonzero(~np.isfinite(snaps)))
-    bad += int(np.count_nonzero(np.diff(snaps, axis=2) <= 0.0))
-    if wall:
-        bad += int(np.count_nonzero(snaps[:, :, 0] <= 0.0))
+    bad = 0
+    for t in _SDE_RECORD_TIMES:
+        snaps, seed = _source("sde", p, wall, base_seed, t)
+        bad += int(np.count_nonzero(~np.isfinite(snaps)))
+        bad += int(np.count_nonzero(np.diff(snaps, axis=1) <= 0.0))
+        if wall:
+            bad += int(np.count_nonzero(snaps[:, 0] <= 0.0))
     return [
         _record(
             f"sde_invariants/p{p}/{_wall_tag(wall)}",
             float(bad),
             0.5,
-            snaps.shape[0] * snaps.shape[1],
-            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT),
+            snaps.shape[0] * len(_SDE_RECORD_TIMES),
+            seed,
             detail=(
                 "strict branch ordering (and wall positivity) at the five "
                 "recorded times; every accepted integrator step also keeps "
@@ -727,8 +697,8 @@ def _check_sde_invariants(base_seed, *, p: _POSITIVE, wall: _WALL):
 
 
 def _check_sde_step_halving(base_seed, *, p: _POSITIVE, wall: _WALL):
-    base = _sde_source(p, wall, base_seed, _SDE_DT)[:, _SDE_RECORD_TIMES.index(0.5), :]
-    fine = _sde_source(p, wall, base_seed, _SDE_DT / 2)[:, _SDE_TWIN_RECORD_TIMES.index(0.5), :]
+    base, _ = _source("sde", p, wall, base_seed, 0.5)
+    fine, seed = _source("sde_twin", p, wall, base_seed, 0.5)
     yb = np.sum(base * base, axis=1)
     yf = np.sum(fine * fine, axis=1)
     mb, sb = empirical_moment(yb, 1)
@@ -740,7 +710,7 @@ def _check_sde_step_halving(base_seed, *, p: _POSITIVE, wall: _WALL):
             z,
             2.0,
             yb.size + yf.size,
-            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT / 2),
+            seed,
             detail=(
                 "mean |X(1/2)|^2 at dt 1e-4 vs 5e-5 in combined-error units; "
                 "with independent streams |z| <= 2 is the sharpest stable "
@@ -751,10 +721,10 @@ def _check_sde_step_halving(base_seed, *, p: _POSITIVE, wall: _WALL):
 
 
 def _check_sde_time_symmetry(base_seed, *, p: _POSITIVE, wall: _WALL):
-    snaps = _sde_source(p, wall, base_seed, _SDE_DT)
-    half = snaps.shape[0] // 2
-    a = snaps[:half, _SDE_RECORD_TIMES.index(0.35), :]
-    b = snaps[half:, _SDE_RECORD_TIMES.index(0.65), :]
+    early, seed = _source("sde", p, wall, base_seed, 0.35)
+    late, _ = _source("sde", p, wall, base_seed, 0.65)
+    half = early.shape[0] // 2
+    a, b = early[:half], late[half:]
     thr = KS_SERIES_COEFF[0.05] * math.sqrt((a.shape[0] + b.shape[0]) / (a.shape[0] * b.shape[0]))
     worst = 0.0
     for col in range(p):
@@ -765,7 +735,7 @@ def _check_sde_time_symmetry(base_seed, *, p: _POSITIVE, wall: _WALL):
             worst,
             thr,
             a.shape[0] + b.shape[0],
-            _source_seed("sde", p, wall, base_seed, dt=_SDE_DT),
+            seed,
             detail=(
                 "two-sample KS of X(0.35) vs X(0.65) per branch on disjoint "
                 "replica halves; the law is symmetric about t = 1/2"
@@ -985,7 +955,10 @@ _LATTICE_CHECKS = ("marginal_ks", "norm_law_discrete", "symmetric_poly_mc")
 
 
 def _source_of(item):
-    """The cached source ("sde" | "discrete", p, wall) a plan item reads, or None."""
+    """The (kind, p, wall) of the _source a plan item reads, or None.
+
+    sde_step_halving reads the "sde_twin" of its "sde" source too.
+    """
     check, params = item.get("check"), item.get("params", {})
     if check == "moment_mc":
         kind = "sde" if params.get("source") == "sde_sim" else "discrete"
@@ -1022,7 +995,8 @@ def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
     are dicts with the key "check" and an optional "params", the check's
     keyword arguments; each keyword's annotation is its domain, the values
     it admits.  Every item is bound against its check before any runs, so
-    an unknown parameter or a value outside its domain raises ValueError
+    an unknown parameter, a value outside its domain, or a repeat of an
+    earlier item (samples aside, which names no record) raises ValueError
     before any item runs or any source is computed.  The default plan
     finishes well inside its ten minute budget on a single core.
     """
@@ -1030,8 +1004,13 @@ def run_suite(plan=None, base_seed=DEFAULT_BASE_SEED, workers=1):
     items = list(DEFAULT_PLAN) if plan is None else list(plan)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    seen = set()
     for item in items:
-        _bind_plan_item(item, base_seed)
+        _, params = _bind_plan_item(item, base_seed)
+        key = (item["check"], frozenset((k, v) for k, v in params.items() if k != "samples"))
+        if key in seen:
+            raise ValueError(f"{item['check']}: duplicate plan item {params}, samples aside")
+        seen.add(key)
     if workers == 1 or len(items) <= 1:
         batches = [_run_plan_item(item, base_seed) for item in items]
     else:

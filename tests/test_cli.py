@@ -198,8 +198,9 @@ def test_simulate_summary_of_one_replica_is_a_usage_error(tmp_path, capsys):
         (["--record", "1.5"], "grid"),
         (["--record", "0.5,abc"], "finite numbers"),
         (["--record", "nan"], "finite numbers"),
+        (["--dt", "1e-13"], "too large"),
     ],
-    ids=["replicas-1", "record-off-grid", "record-not-a-number", "record-nan"],
+    ids=["replicas-1", "record-off-grid", "record-not-a-number", "record-nan", "dt-too-small"],
 )
 def test_simulate_usage_error_writes_nothing(tmp_path, capsys, extra, message):
     # the replica count and the record times are checked before the
@@ -212,6 +213,15 @@ def test_simulate_usage_error_writes_nothing(tmp_path, capsys, extra, message):
     assert code == 2
     assert message in err
     assert not csv_file.exists() and not json_file.exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-13", "5e-324"])
+def test_simulate_too_small_dt_is_a_usage_error(capsys, dt):
+    # the trajectory size is decided from the step count, before a grid of
+    # trillions of points (or an infinite step count) is asked for
+    code, out, err = run_cli(capsys, "simulate", "--p", "1", "--dt", dt)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "too large" in err
 
 
 def test_simulate_halving_failure_exits_one(capsys):
@@ -473,8 +483,6 @@ def test_render_spec_validation():
     for width in (0.0, math.nan):
         with pytest.raises(ValueError, match="stroke"):
             RenderSpec(stroke_width=width)
-    with pytest.raises(ValueError, match="color"):
-        RenderSpec(colors=())
 
 
 # ---------------------------------------------------------------------------

@@ -275,12 +275,12 @@ def test_wall_p2_norm_squared_mean():
 
 def test_summarize_batch_shape():
     cfg = _quick_config(seed=88)
-    out = summarize_batch(cfg, 50, (0.5,), max_order=2)
+    out = summarize_batch(cfg, 50, (0.5,))
     assert out["p"] == 2 and out["wall"] is True
     assert out["times"] == [0.5]
     (per_time,) = out["moments"]
     assert len(per_time) == 2  # one list per branch
-    assert [m["order"] for m in per_time[0]] == [1, 2]
+    assert [m["order"] for m in per_time[0]] == [1, 2, 3, 4]
     assert set(per_time[0][0]) == {"order", "mean", "standard_error"}
     (nsq,) = out["norm_squared_mean"]
     assert nsq["mean"] > 0.0 and nsq["standard_error"] > 0.0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -550,6 +551,36 @@ def test_run_suite_rejects_duplicate_records():
         run_suite(plan=[{"check": "moment_table"}, {"check": "moment_table"}])
 
 
+@pytest.mark.parametrize("first,second", [
+    # record names do not depend on samples
+    ({"check": "sampler_uniformity", "params": {"samples": 10}},
+     {"check": "sampler_uniformity", "params": {"samples": 20}}),
+    ({"check": "norm_law_sde", "params": {"p": 1, "wall": False}},
+     {"check": "norm_law_sde", "params": {"wall": False, "p": 1}}),
+    ({"check": "moment_table", "params": {}}, {"check": "moment_table"}),
+])
+def test_run_suite_refuses_a_repeated_item_before_anything_runs(first, second, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check or source ran before the repeat was refused")
+
+    monkeypatch.setattr(stats_verify, "simulate_batch", unreachable)
+    monkeypatch.setattr(stats_verify, "sample_marginal_batch", unreachable)
+    for name, fn in list(stats_verify._CHECKS.items()):
+        stub = functools.wraps(fn)(lambda *args, **kwargs: unreachable())
+        monkeypatch.setitem(stats_verify._CHECKS, name, stub)
+    with pytest.raises(ValueError, match=f"{first['check']}: duplicate plan item"):
+        run_suite(plan=[{"check": "stirling_error_decay"}, first, second])
+
+
+def test_run_suite_still_refuses_duplicate_record_names(monkeypatch):
+    # distinct items whose records collide get past the binding pass; the
+    # check of the finished report's names still refuses them
+    table = stats_verify._CHECKS["moment_table"]
+    monkeypatch.setitem(stats_verify._CHECKS, "norm_gamma_oracle", table)
+    with pytest.raises(ValueError, match=r"duplicate record names: \['moment_table'\]"):
+        run_suite(plan=[{"check": "moment_table"}, {"check": "norm_gamma_oracle"}])
+
+
 def test_run_suite_empty_plan_passes_vacuously():
     report = run_suite(plan=[])
     assert report.records == ()
@@ -568,10 +599,39 @@ def test_source_groups_of_default_plan():
         assert key is not None or len(g) == 1
 
 
+def test_source_groups_match_the_sources_checks_read(monkeypatch):
+    # every default item runs, on small sources, with _source recording the
+    # (kind, p, wall) it is asked for: a source-reading check missing from
+    # _source_of would be scheduled apart from the other readers of its source
+    reads = []
+    real = stats_verify._source
+
+    def recording(kind, p, wall, base_seed, t):
+        reads[-1].add((kind, p, wall))
+        return real(kind, p, wall, base_seed, t)
+
+    monkeypatch.setattr(stats_verify, "_source", recording)
+    monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
+    monkeypatch.setattr(stats_verify, "_SOURCES", {})
+    read_by_group = []
+    for group in stats_verify._source_groups(stats_verify.DEFAULT_PLAN):
+        read_by_group.append(set())
+        for item in group:
+            reads.append(set())
+            stats_verify._run_plan_item(item, 77)
+            if stats_verify._source_of(item) is None:
+                assert reads[-1] == set(), item
+            read_by_group[-1] |= reads[-1]
+    for a, b in combinations(read_by_group, 2):
+        assert not a & b
+    assert sum(map(len, read_by_group)) == 11  # 10 sources and one dt/2 twin
+
+
 def test_sde_source_computed_once_per_key(monkeypatch):
     # the step-halving check and the other SDE checks share the dt = 1e-4
     # source, and the dt/2 twin records only the time it is read at; the
-    # stub counts computations instead of integrating
+    # stub counts computations instead of integrating, into a cache of
+    # this test's own
     calls = []
 
     def counting_batch(cfg, replicas, record_times):
@@ -581,14 +641,14 @@ def test_sde_source_computed_once_per_key(monkeypatch):
         return np.cumsum(raw, axis=2)
 
     monkeypatch.setattr(stats_verify, "simulate_batch", counting_batch)
+    monkeypatch.setattr(stats_verify, "_SOURCES", {})
     plan = [
         {"check": "sde_step_halving", "params": {"p": 2, "wall": True}},
         {"check": "norm_law_sde", "params": {"p": 2, "wall": True}},
         {"check": "sde_invariants", "params": {"p": 2, "wall": True}},
         {"check": "sde_time_symmetry", "params": {"p": 2, "wall": True}},
     ]
-    # a base seed of its own keeps the stubbed sources out of other tests
-    run_suite(plan=plan, base_seed=-4242)
+    run_suite(plan=plan)
     assert sorted(calls) == [(2, True, 5e-5, (0.5,)),
                              (2, True, 1e-4, (0.25, 0.35, 0.5, 0.65, 0.75))]
 
@@ -607,7 +667,7 @@ def test_lattice_sources_stop_at_their_last_read(monkeypatch):
 
     monkeypatch.setattr(stats_verify, "sample_marginal_batch", counting_batch)
     monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
-    monkeypatch.setattr(stats_verify, "_DISCRETE_SNAPSHOTS", {})
+    monkeypatch.setattr(stats_verify, "_SOURCES", {})
     plan = [item for item in stats_verify.DEFAULT_PLAN
             if (stats_verify._source_of(item) or (None,))[0] == "discrete"]
     run_suite(plan=plan)
@@ -623,11 +683,15 @@ def test_source_caches_are_keyed_on_the_replica_count(monkeypatch):
     # at one count must not answer for another
     plan = [{"check": "norm_law_sde", "params": {"p": 1, "wall": False}},
             {"check": "marginal_ks", "params": {"p": 1, "wall": False}}]
+    monkeypatch.setattr(stats_verify, "_SOURCES", {})
     for replicas in (12, 24):
         monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", replicas)
         sizes = {r.sample_size for r in run_suite(plan=plan, base_seed=77).records
                  if r.name != "suite_runtime"}
         assert sizes == {replicas}
+    assert sorted(stats_verify._SOURCES) == [
+        (kind, 1, False, 77, replicas) for kind in ("discrete", "sde") for replicas in (12, 24)
+    ]
 
 
 # sha256 of report_to_json for the default plan at 1/100 of its Monte Carlo
