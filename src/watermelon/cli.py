@@ -9,7 +9,12 @@ verification verdict or simulation fails, 2 on usage errors.
 
 Each handler imports the layers it runs, so a cold `count`, `moments`,
 `render` or `verify --from-file` loads neither numpy nor scipy, and
-`sample` or `density` no scipy.
+`sample` or `density` no scipy; only `count` imports decimal.
+
+The console script and `python -m watermelon.cli` run through
+`entrypoint`, which runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+is already set; the verify workers inherit the setting.  `main` leaves
+the environment alone.
 """
 
 import argparse
@@ -18,7 +23,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 
 from . import CheckRecord, TestReport, format_json, report_to_json
 
@@ -95,6 +99,8 @@ def _open_out(path):
 def _print_count(value):
     # str(int) refuses more than 4300 digits by default; an int converts
     # to Decimal exactly and without that cap, and prints every digit
+    from decimal import Decimal
+
     print(Decimal(value))
 
 
@@ -146,9 +152,8 @@ def _cmd_sample(args):
 def _cmd_simulate(args):
     from .sde_sim import (
         SdeConfig,
+        _batch_record_indices,
         _check_trajectory_size,
-        _grid,
-        _record_indices,
         simulate,
         summarize_batch,
         trajectory_to_csv,
@@ -170,7 +175,7 @@ def _cmd_simulate(args):
         if args.replicas < 2:
             raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
         record = _parse_floats(args.record)
-        _record_indices(_grid(cfg), record)
+        _batch_record_indices(cfg, args.replicas, record)
     traj = simulate(cfg)
     out, close = _open_out(args.out)
     try:
@@ -429,6 +434,9 @@ def main(argv=None):
 
 
 def entrypoint():
+    # before any handler imports numpy or scipy: their OpenBLAS pools would
+    # otherwise spin on every core for products too small to thread
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

@@ -204,18 +204,22 @@ def _advance_scalar(
 
 
 def _steps(cfg: SdeConfig) -> int:
-    """Base steps on [t0, 1 - t0]; the grid holds one more point, or as many."""
-    return max(1, int(math.ceil((1.0 - 2.0 * cfg.t0) / cfg.dt - 1e-9)))
+    """Base steps on [t0, 1 - t0]; the grid holds one more point, or as many.
+
+    ValueError when the grid would hold over 4,000,000 points, decided from
+    the float count before any array exists.  For a tiny dt that count is
+    inf, which math.ceil refuses.
+    """
+    steps = (1.0 - 2.0 * cfg.t0) / cfg.dt - 1e-9
+    # ceil(steps) + 1 <= 4,000,000 exactly when steps <= 3,999,999
+    if steps > 3_999_999:
+        raise ValueError("the integration grid would be too large; use a larger dt")
+    return max(1, int(math.ceil(steps)))
 
 
 def _check_trajectory_size(cfg: SdeConfig) -> None:
-    """ValueError when one full trajectory would hold over 4,000,000 values.
-
-    Decided from the step count, before any grid exists.  The float count
-    is tested first: for a tiny dt it is inf, which math.ceil refuses.
-    """
-    steps = (1.0 - 2.0 * cfg.t0) / cfg.dt
-    if steps * cfg.p > 4_000_000 or (_steps(cfg) + 1) * cfg.p > 4_000_000:
+    """ValueError when one full trajectory would hold over 4,000,000 values."""
+    if (_steps(cfg) + 1) * cfg.p > 4_000_000:
         raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
 
 
@@ -227,6 +231,20 @@ def _grid(cfg: SdeConfig) -> np.ndarray:
         times = times[:-1].copy()
         times[-1] = 1.0 - cfg.t0
     return times
+
+
+def _batch_record_indices(config: SdeConfig, replicas: int, record_times) -> list[int]:
+    """Grid indices of a batch's record times, after its size checks.
+
+    ValueError unless replicas is positive, the snapshots hold at most
+    60,000,000 values and every record time is on the grid.  Nothing is
+    integrated, so a caller can check a batch before it writes anything.
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas must be positive, got {replicas}")
+    if replicas * len(record_times) * config.p > 60_000_000:
+        raise ValueError("snapshots for this batch would be too large; use fewer replicas")
+    return _record_indices(_grid(config), record_times)
 
 
 def _record_indices(times: np.ndarray, record_times) -> list[int]:
@@ -341,10 +359,10 @@ def simulate_batch(
     record time; a snapshot is the same whatever later times are recorded.
     With with_diagnostics the result comes with {"rescued_steps": count}
     of the base steps that were halved, up to the last record time.
+    A grid of over 4,000,000 points or a batch of over 60,000,000 snapshot
+    values is refused with ValueError before anything is integrated.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be positive, got {replicas}")
-    rec = _record_indices(_grid(config), record_times)
+    rec = _batch_record_indices(config, replicas, record_times)
     snaps, n_rescued = _integrate(config, replicas, rec, chunk)
     if with_diagnostics:
         return snaps, {"rescued_steps": n_rescued}

@@ -8,6 +8,7 @@ plus one real subprocess test for the console entry point.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -199,12 +200,14 @@ def test_simulate_summary_of_one_replica_is_a_usage_error(tmp_path, capsys):
         (["--record", "0.5,abc"], "finite numbers"),
         (["--record", "nan"], "finite numbers"),
         (["--dt", "1e-13"], "too large"),
+        (["--replicas", "1000000000000"], "too large"),
     ],
-    ids=["replicas-1", "record-off-grid", "record-not-a-number", "record-nan", "dt-too-small"],
+    ids=["replicas-1", "record-off-grid", "record-not-a-number", "record-nan", "dt-too-small",
+         "summary-too-large"],
 )
 def test_simulate_usage_error_writes_nothing(tmp_path, capsys, extra, message):
-    # the replica count and the record times are checked before the
-    # trajectory is integrated
+    # the replica count, the summary's size and the record times are
+    # checked before the trajectory is integrated
     csv_file, json_file = tmp_path / "t.csv", tmp_path / "s.json"
     code, _, err = run_cli(
         capsys, "simulate", "--p", "1", "--dt", "0.01", "--out", str(csv_file),
@@ -509,45 +512,60 @@ def test_json_float_formatting():
             format_json({"x": [bad]})
 
 
-# runs the console entry point, then lists on its last stderr line the
-# numerical libraries the call loaded
+# runs the console entry point, then reports on its last stderr line the
+# modules of interest the call loaded, its OPENBLAS_NUM_THREADS and, on
+# Linux, its thread count
 ENTRYPOINT_SCRIPT = """
-import sys
+import json, os, sys
 sys.argv[0] = 'watermelon'
 from watermelon.cli import entrypoint
 try:
     entrypoint()
 finally:
-    print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})),
-          file=sys.stderr)
+    print(json.dumps({
+        'loaded': sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'decimal'}),
+        'blas_threads': os.environ.get('OPENBLAS_NUM_THREADS'),
+        'threads': len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None,
+    }), file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, expect, unloaded",
+    "argv, expect, unloaded, preset",
     [
-        (["count", "--p", "1", "--n", "3", "--wall"], "5\n", {"numpy", "scipy"}),
-        (["moments", "--table"], '{"normalized_table": [', {"numpy", "scipy"}),
-        (["sample", "--p", "2", "--n", "3", "--seed", "1"], "k,branch_1,branch_2", {"scipy"}),
-        (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy"}),
-        (["render", "{path}", "--wall"], "<svg", {"numpy", "scipy"}),
-        (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ', {"numpy", "scipy"}),
+        (["count", "--p", "1", "--n", "3", "--wall"], "5\n", {"numpy", "scipy"}, None),
+        (["moments", "--table"], '{"normalized_table": [', {"numpy", "scipy"}, None),
+        (["sample", "--p", "2", "--n", "3", "--seed", "1"], "k,branch_1,branch_2",
+         {"scipy", "decimal"}, None),
+        (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy", "decimal"}, None),
+        (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy", "decimal"}, "2"),
+        (["render", "{path}", "--wall"], "<svg", {"numpy", "scipy", "decimal"}, None),
+        (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ',
+         {"numpy", "scipy", "decimal"}, None),
     ],
-    ids=["count", "moments", "sample", "density", "render", "verify-from-file"],
+    ids=["count", "moments", "sample", "density", "density-blas-2", "render", "verify-from-file"],
 )
-def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded):
-    # each subcommand imports only the layers it runs
+def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded, preset):
+    # each subcommand imports only the layers it runs, and OpenBLAS runs on
+    # one thread unless the caller chose otherwise
     path_file = tmp_path / "melon.csv"
     run_cli(capsys, "sample", "--p", "2", "--n", "3", "--wall", "--out", str(path_file))
     argv = [a.format(path=path_file) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run(
         [sys.executable, "-c", ENTRYPOINT_SCRIPT, *argv],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(expect)
-    loaded = set(proc.stderr.splitlines()[-1].split())
+    report = json.loads(proc.stderr.splitlines()[-1])
+    loaded = set(report["loaded"])
     assert not loaded & unloaded, f"{argv[0]} loaded {sorted(loaded & unloaded)}"
+    assert report["blas_threads"] == (preset or "1")
+    if preset is None and report["threads"] is not None:
+        assert report["threads"] == 1
 
 
 def test_module_run_is_the_cli():

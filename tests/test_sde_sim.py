@@ -307,18 +307,55 @@ class IntegrationReached(Exception):
     pass
 
 
-def test_simulate_size_cap_comes_before_integration(monkeypatch):
-    # one trajectory holds at most 4,000,000 grid values times p; a finer
-    # grid is refused before anything is integrated
+@pytest.fixture
+def no_integration(monkeypatch):
+    # a size check that passes reaches _integrate, which then raises
     def integrate(*args, **kwargs):
         raise IntegrationReached
 
     monkeypatch.setattr(sde_sim, "_integrate", integrate)
+
+
+def test_simulate_size_cap_comes_before_integration(no_integration):
+    # one trajectory holds at most 4,000,000 grid values times p; a finer
+    # grid is refused before anything is integrated
     span = 1.0 - 2.0 * 0.02
     with pytest.raises(IntegrationReached):  # 999,991 grid values, p = 4
         simulate(SdeConfig(p=4, wall=False, dt=span / 999_990))
     with pytest.raises(ValueError, match="too large"):  # 1,000,011 grid values
         simulate(SdeConfig(p=4, wall=False, dt=span / 1_000_010))
+
+
+@pytest.mark.parametrize("dt", [1e-13, 5e-324])
+def test_batch_grid_size_cap_comes_before_any_array(no_integration, dt):
+    # a grid of over 4,000,000 points is refused from the float step count:
+    # at 1e-13 the grid alone would take 69.8 TiB, and at 5e-324 the step
+    # count is inf
+    cfg = SdeConfig(p=1, wall=False, dt=dt)
+    with pytest.raises(ValueError, match="too large"):
+        simulate_batch(cfg, 2, (0.5,))
+    with pytest.raises(ValueError, match="too large"):
+        summarize_batch(cfg, 2, (0.5,))
+
+
+def test_batch_grid_size_cap_boundary(no_integration):
+    span = 1.0 - 2.0 * 0.02
+    with pytest.raises(IntegrationReached):  # 4,000,000 grid points
+        simulate_batch(SdeConfig(p=1, wall=False, dt=span / 3_999_999), 2, (0.02,))
+    with pytest.raises(ValueError, match="too large"):  # 4,000,001 grid points
+        simulate_batch(SdeConfig(p=1, wall=False, dt=span / 4_000_000), 2, (0.02,))
+
+
+def test_batch_snapshot_size_cap_comes_before_integration(no_integration):
+    # a batch holds at most 60,000,000 snapshot values: replicas times
+    # record times times p
+    cfg = SdeConfig(p=3, wall=False, dt=0.01)
+    with pytest.raises(IntegrationReached):
+        simulate_batch(cfg, 10_000_000, (0.25, 0.5))
+    with pytest.raises(ValueError, match="too large"):
+        simulate_batch(cfg, 10_000_001, (0.25, 0.5))
+    with pytest.raises(ValueError, match="too large"):
+        summarize_batch(SdeConfig(p=1, wall=False, dt=0.01), 10**12, (0.25, 0.5, 0.75))
 
 
 def test_rescue_diagnostics_counted():
