@@ -18,6 +18,7 @@ the environment alone.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,10 +54,6 @@ class RenderSpec:
             raise ValueError("stroke width must be positive")
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _parse_floats(text):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -86,10 +83,14 @@ def _env_seed(explicit, fallback):
     return fallback
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The text stream for --out: stdout for None or "-", else the file, closed after."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as f:
+            yield f
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +141,8 @@ def _cmd_sample(args):
         print(f"wrote {args.batch} paths to {args.out}")
         return 0
     path = sample_watermelon(args.p, args.n, args.wall, seed)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_path_csv(path, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -177,12 +174,8 @@ def _cmd_simulate(args):
         record = _parse_floats(args.record)
         _batch_record_indices(cfg, args.replicas, record)
     traj = simulate(cfg)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         trajectory_to_csv(traj, out)
-    finally:
-        if close:
-            out.close()
     if args.summary_out is not None:
         text = format_json(summarize_batch(cfg, args.replicas, record))
         with open(args.summary_out, "w") as f:
@@ -194,9 +187,8 @@ def _cmd_density(args):
     from .spectral_laws import DensityParams, density
 
     params = DensityParams(args.p, args.t, args.wall)
-    for chunk in args.x:
-        x = _parse_floats(chunk)
-        print(_fmt(density(params, x)))
+    # every point is evaluated before any is printed: a refused one leaves stdout empty
+    print("\n".join(format_json(density(params, _parse_floats(x))) for x in args.x))
     return 0
 
 
@@ -265,12 +257,8 @@ def _cmd_verify(args):
         base_seed = _env_seed(args.base_seed, DEFAULT_BASE_SEED)
         report = run_suite(plan=plan, base_seed=base_seed, workers=args.workers)
     text = report_to_json(report)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(text)
-    finally:
-        if close:
-            out.close()
     return 0 if report.verdict else 1
 
 
@@ -327,12 +315,8 @@ def _cmd_render(args):
         wall_axis=args.wall,
     )
     svg = _render_svg(path, spec)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(svg)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -425,7 +409,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as err:
+    except (ValueError, OverflowError, OSError, KeyError, TypeError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

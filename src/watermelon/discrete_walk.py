@@ -51,9 +51,12 @@ from .paths import WatermelonPath, read_path_csv, write_path_csv  # noqa: F401
 U_BITS = 53
 _U_DEN = 1 << U_BITS
 
-# replica-chunk size for batch sampling; results are chunk-invariant
-# because every replica owns its seed stream
-DEFAULT_CHUNK = 1024
+# replicas per chunk of a batch; results are chunk-invariant because every
+# replica owns its seed stream
+_CHUNK = 1024
+# the most values one sampler call may return, here and in sde_sim; checked
+# before anything is drawn
+_MAX_VALUES = 60_000_000
 
 
 def derive_replica_rng(base_seed, replica, *stream):
@@ -151,10 +154,13 @@ def sample_watermelon(p, n, wall, seed):
     Equals replica 0 of sample_path_batch under base seed `seed`.  Every
     configuration with p >= 1, n >= 1 admits at least one watermelon (the
     nested mirror paths), so no zero-count rejection can trigger in
-    domain; out-of-domain parameters raise.
+    domain; out-of-domain parameters raise, and so does a path of over
+    60,000,000 positions, before anything is drawn.
     """
     if p < 1 or n < 1:
         raise ValueError("need p >= 1 and n >= 1")
+    if (2 * n + 1) * p > _MAX_VALUES:
+        raise ValueError("this path would be too large; use a smaller n")
     u = replica_words(seed, 0, 2 * n)
     moves = _moves(p)
     x = tuple(range(0, 2 * p, 2))
@@ -224,8 +230,7 @@ def _move_weights(a, z):
     return np.multiply.reduce(fac.reshape(-1, 1 << p, b), axis=0)
 
 
-def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
-                          chunk=DEFAULT_CHUNK, *, start=None):
+def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices, *, start=None):
     """Cross-sections of many independent watermelons at the requested times.
 
     Runs the same conditional chain as sample_watermelon but vectorized
@@ -235,6 +240,8 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     positions with shape (replicas, len(k_indices), p), snapshot times
     sorted ascending.  Replica r depends only on (base_seed, r), so the
     result is independent of chunking and of any outer work splitting.
+    A request for over 60,000,000 positions, replicas * len(k_indices) * p,
+    is refused with ValueError before anything is drawn or allocated.
 
     The chain stops at the last requested index: the steps after it, and
     their draws, are never made.  start=(k0, x0) continues the chains from
@@ -245,6 +252,8 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     """
     if p < 1 or n < 1 or replicas < 1:
         raise ValueError("need p >= 1, n >= 1, replicas >= 1")
+    if replicas * len(k_indices) * p > _MAX_VALUES:
+        raise ValueError("this batch would be too large; use fewer replicas or snapshots")
     two_n = 2 * n
     k0 = 0
     if start is not None:
@@ -263,8 +272,8 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     snaps = np.empty((replicas, len(ks), p), dtype=np.int64)
     pinned = np.arange(0, 2 * p, 2, dtype=np.int64)
 
-    for lo in range(0, replicas, chunk):
-        hi = min(lo + chunk, replicas)
+    for lo in range(0, replicas, _CHUNK):
+        hi = min(lo + _CHUNK, replicas)
         b = hi - lo
         # (steps, b), so that each step's uniforms are contiguous; every
         # stream skips the draws of steps 0..k0-1
@@ -301,8 +310,6 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices,
     return snaps
 
 
-def sample_path_batch(p, n, wall, base_seed, replicas, chunk=DEFAULT_CHUNK):
+def sample_path_batch(p, n, wall, base_seed, replicas):
     """Full integer paths for a small batch, shape (replicas, 2n+1, p): a snapshot per step."""
-    if replicas * (2 * n + 1) * p > 60_000_000:
-        raise ValueError("full paths for this batch would be too large; use snapshots instead")
-    return sample_marginal_batch(p, n, wall, base_seed, replicas, range(2 * n + 1), chunk)
+    return sample_marginal_batch(p, n, wall, base_seed, replicas, range(2 * n + 1))

@@ -4,8 +4,11 @@ For two branches the individual moments have explicit values: with a wall
 they combine pi and sqrt(2) with rational weights, without a wall pi alone.
 For general branch number only the elementary symmetric polynomials admit
 closed forms (in the squares when there is a wall).  All rational
-bookkeeping is done in exact arithmetic and converted to float at the end,
-so the returned values are correctly rounded up to the final few ulps.
+bookkeeping is done in exact arithmetic and converted to float at the end.
+The lower branch with a wall is the one exception to near-correct rounding:
+its value is the sum of two float terms of opposite sign, which cancel
+(order 5 is already 32 ulps off).  Each such sum carries a bound on its
+relative error, and an order whose bound exceeds 1e-9 is refused.
 
 Branch label convention at even orders (wall case).  Two assignments of the
 +-32-type constant to the branches circulate; only one can be right.  With a
@@ -88,13 +91,26 @@ def _wall_odd_normalized(branch: int, k: int) -> tuple[Fraction, Fraction]:
     return amp * tail - lead, Fraction(0)
 
 
+def _checked_sum(x: float, y: float, order: int) -> float:
+    """x + y, refused with ValueError when cancellation leaves under ~30 good bits.
+
+    2^-50 (|x| + |y|) / |x + y| bounds the relative error of the sum of two
+    terms each within a few ulps of its exact value.
+    """
+    s = x + y
+    if not 2.0**-50 * (abs(x) + abs(y)) <= 1e-9 * abs(s):
+        raise ValueError(f"the moment of order {order} loses too many digits to cancellation")
+    return s
+
+
 def moment_wall_p2(branch: int, order: int, t: float) -> float:
     """E[X_branch(t)^order] for the two-branch continuum ensemble with wall.
 
     branch 1 is the lower path, branch 2 the upper one.  Even orders mix a
     rational multiple of pi with a rational constant, odd orders a rational
     with a rational multiple of sqrt(2); see the module docstring for the
-    even-order branch labeling.
+    even-order branch labeling.  ValueError when that sum cancels too far
+    (branch 1 from order 27); OverflowError past the float range.
     """
     _check_branch_order(branch, order)
     _check_time(t)
@@ -102,11 +118,12 @@ def moment_wall_p2(branch: int, order: int, t: float) -> float:
     if order % 2 == 0:
         k = order // 2
         pi_coeff, const = _wall_even_normalized(branch, k)
-        return u**k * (float(pi_coeff) * math.pi + float(const)) / (3.0 * math.pi)
+        total = _checked_sum(float(pi_coeff) * math.pi, float(const), order)
+        return u**k * total / (3.0 * math.pi)
     k = (order + 1) // 2
     const, rad = _wall_odd_normalized(branch, k)
     scale = u ** (order / 2.0) / (3.0 * math.sqrt(math.pi))
-    return scale * (float(const) + float(rad) * math.sqrt(2.0))
+    return scale * _checked_sum(float(const), float(rad) * math.sqrt(2.0), order)
 
 
 def moment_nowall_p2(branch: int, order: int, t: float) -> float:

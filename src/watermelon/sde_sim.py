@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_walk import derive_replica_rng, words
+from .discrete_walk import _MAX_VALUES, derive_replica_rng, words
 from .spectral_laws import (
     sample_gue_spectrum_batch,
     sample_wall_spectrum_batch,
@@ -242,7 +242,7 @@ def _batch_record_indices(config: SdeConfig, replicas: int, record_times) -> lis
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
-    if replicas * len(record_times) * config.p > 60_000_000:
+    if replicas * len(record_times) * config.p > _MAX_VALUES:
         raise ValueError("snapshots for this batch would be too large; use fewer replicas")
     return _record_indices(_grid(config), record_times)
 
@@ -273,7 +273,12 @@ def _initial_state(cfg: SdeConfig, replicas: int) -> np.ndarray:
     return scale * draw
 
 
-def _integrate(cfg: SdeConfig, replicas: int, rec_indices, chunk: int):
+# replicas per chunk of a batch; results are chunk-invariant because every
+# replica owns its streams
+_CHUNK = 1024
+
+
+def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
     """(snapshots at the grid indices rec_indices, shape (replicas, len, p), rescued steps)."""
     times = _grid(cfg)
     rec_slot = {j: s for s, j in enumerate(sorted(set(rec_indices)))}
@@ -286,8 +291,8 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices, chunk: int):
 
     x0 = _initial_state(cfg, replicas)
     block = 512
-    for lo in range(0, replicas, chunk):
-        hi = min(lo + chunk, replicas)
+    for lo in range(0, replicas, _CHUNK):
+        hi = min(lo + _CHUNK, replicas)
         b = hi - lo
         # states are held as (p, b), one row per branch, so that every
         # branch is a contiguous vector
@@ -340,7 +345,7 @@ def simulate(config: SdeConfig) -> Trajectory:
     """
     _check_trajectory_size(config)
     times = _grid(config)
-    snaps, _ = _integrate(config, 1, range(len(times)), chunk=1)
+    snaps, _ = _integrate(config, 1, range(len(times)))
     return Trajectory(times=times, values=snaps[0], wall=config.wall)
 
 
@@ -348,7 +353,7 @@ def simulate_batch(
     config: SdeConfig,
     replicas: int,
     record_times,
-    chunk: int = 1024,
+    *,
     with_diagnostics: bool = False,
 ):
     """Marginal snapshots for many trajectories, shape (replicas, times, p).
@@ -363,7 +368,7 @@ def simulate_batch(
     values is refused with ValueError before anything is integrated.
     """
     rec = _batch_record_indices(config, replicas, record_times)
-    snaps, n_rescued = _integrate(config, replicas, rec, chunk)
+    snaps, n_rescued = _integrate(config, replicas, rec)
     if with_diagnostics:
         return snaps, {"rescued_steps": n_rescued}
     return snaps

@@ -84,20 +84,31 @@ def evaluate_density_grid(params, points):
     result is the plain formula: even and permutation-symmetric.  The
     integral over all of R^p is 2^p p! (wall) or p! (no wall) times the
     chamber integral; quadrature code relies on this smooth unfolding.
+    ValueError when the prefactor, the constant times the power of
+    t(1-t), overflows a double or underflows to 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != params.p:
         raise ValueError("points must have p coordinates on the last axis")
     s2 = params.t * (1.0 - params.t)
     p = params.p
+    try:
+        if params.wall:
+            prefactor = wall_density_constant(p) * s2 ** -(p * p + p / 2)
+        else:
+            prefactor = nowall_density_constant(p) * s2 ** -(p * p / 2)
+    except OverflowError:
+        prefactor = math.inf
+    if not 0.0 < prefactor < math.inf:
+        raise ValueError(f"the density prefactor at p = {p}, t = {params.t} "
+                         "is outside double range")
+    out = np.full(pts.shape[:-1], prefactor)
     if params.wall:
-        out = np.full(pts.shape[:-1], wall_density_constant(p) * s2 ** -(p * p + p / 2))
         for i in range(p):
             out *= pts[..., i] ** 2
             for j in range(i + 1, p):
                 out *= (pts[..., j] ** 2 - pts[..., i] ** 2) ** 2
     else:
-        out = np.full(pts.shape[:-1], nowall_density_constant(p) * s2 ** -(p * p / 2))
         for i in range(p):
             for j in range(i + 1, p):
                 out *= (pts[..., j] - pts[..., i]) ** 2
@@ -108,14 +119,19 @@ def density(params, x):
     """Limit marginal density at x; 0 outside the closed chamber.
 
     The chamber is 0 <= x_1 <= ... <= x_p with the wall (params.wall) and
-    x_1 <= ... <= x_p without it.
+    x_1 <= ... <= x_p without it.  A value a double cannot carry, such as
+    inf times an underflowed exponential, is refused with ValueError.
     """
     v = np.asarray(x, dtype=float)
     if v.shape != (params.p,):
         raise ValueError(f"x must be a vector of length {params.p}")
     if (params.wall and v[0] < 0) or not (np.diff(v) >= 0).all():
         return 0.0
-    return float(evaluate_density_grid(params, v))
+    with np.errstate(all="ignore"):
+        value = float(evaluate_density_grid(params, v))
+    if not math.isfinite(value):
+        raise ValueError(f"the density at {v.tolist()} is outside double range")
+    return value
 
 
 # ---------------------------------------------------------------------------

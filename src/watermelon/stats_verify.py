@@ -163,7 +163,11 @@ def _richardson_cumulative(xs, y_fine):
     return fine + np.interp(xs, xs[::2], corr)
 
 
-def branch_marginal_cdf(p, t, wall, branch, nodes=None):
+# grid nodes per branch_marginal_cdf, by p: enough for its 1e-6 bound
+_QUADRATURE_NODES = {1: 16385, 2: 4097}
+
+
+def branch_marginal_cdf(p, t, wall, branch):
     """CDF of branch `branch` (0-based, ascending) of the limit marginal.
 
     Built by trapezoid quadrature with Richardson refinement of the
@@ -177,13 +181,11 @@ def branch_marginal_cdf(p, t, wall, branch, nodes=None):
         raise ValueError("branch marginal quadrature supports p in {1, 2}")
     if not 0 <= branch < p:
         raise ValueError("branch out of range")
-    if nodes is None:
-        nodes = 16385 if p == 1 else 4097
     params = DensityParams(p, t, wall)
     sigma = math.sqrt(t * (1.0 - t))
     hi = 10.0 * sigma * math.sqrt(p)
     lo = 0.0 if wall else -hi
-    xs = np.linspace(lo, hi, nodes)
+    xs = np.linspace(lo, hi, _QUADRATURE_NODES[p])
     if p == 1:
         rho = evaluate_density_grid(params, xs[:, None])
     else:

@@ -11,13 +11,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import watermelon
 from watermelon import stats_verify
-from watermelon.cli import BRANCH_COLORS, RenderSpec, _fmt, main
+from watermelon.cli import BRANCH_COLORS, RenderSpec, main
 from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
 from watermelon.moments import moment_wall_p2, normalized_table_entry
@@ -318,6 +319,56 @@ def test_moments_usage_errors(capsys):
     assert run_cli(capsys, "moments", "--order", "9", "--p", "2")[0] == 2
 
 
+def test_moments_order_26_keeps_its_bytes(capsys):
+    # the last lower-branch wall order whose two terms cancel within bounds
+    code, out, _ = run_cli(capsys, "moments", "--wall", "--branch", "1", "--order", "26")
+    assert code == 0
+    assert out == (
+        '{"wall": true, "order": 26, "t": 0.5, "branch": 1, "value": 656.07718848947854}\n'
+    )
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # prefactor 0: the true densities are 5.3e-220 and 4.9e11
+        ["density", "--p", "20", "--t", "0.5", "--wall",
+         "--x=" + ",".join(str(0.5 * i) for i in range(1, 21))],
+        ["density", "--p", "30", "--t", "0.5",
+         "--x=" + ",".join(repr(0.3 * i - 4.35) for i in range(30))],
+        # inf times an underflowed exponential
+        ["density", "--p", "3", "--t", "0.5", "--x=-1e200,0,1e200"],
+        # prefactor overflow
+        ["density", "--p", "25", "--t", "0.5", "--wall",
+         "--x=" + ",".join(str(i) for i in range(1, 26))],
+        ["density", "--p", "2", "--t", "1e-300", "--x", "0.1,0.2"],
+        # cancellation of the lower wall branch, then float overflow
+        ["moments", "--wall", "--branch", "1", "--order", "27"],
+        ["moments", "--wall", "--branch", "1", "--order", "90"],
+        ["moments", "--wall", "--branch", "1", "--order", "296"],
+        ["moments", "--branch", "1", "--order", "300"],
+        ["moments", "--wall", "--p", "150", "--order", "150"],
+        # a path of 2 * 10^12 + 1 positions
+        ["sample", "--p", "1", "--n", "1000000000000"],
+    ],
+    ids=["density-wall-p20", "density-nowall-p30", "density-nan", "density-wall-p25",
+         "density-tiny-t", "moments-27", "moments-90", "moments-296", "moments-nowall-300",
+         "moments-sym-p150", "sample-huge-n"],
+)
+def test_refusals_are_clean_usage_errors(capsys, argv):
+    # exit 2, one error line, nothing on stdout: no traceback, no numpy
+    # warning, and no nan or false 0 printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -501,7 +552,7 @@ def test_unknown_subcommand_exits_two():
 def test_json_float_formatting():
     # one writer, defined at the package root and re-exported by stats_verify
     assert format_json is watermelon.format_json
-    assert _fmt(0.1) == "0.10000000000000001"
+    assert format_json(0.1) == "0.10000000000000001"
     assert format_json({"a": [1, 0.5, True, None, "s"]}) == (
         '{"a": [1, 0.5, true, null, "s"]}'
     )

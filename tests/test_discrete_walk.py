@@ -187,9 +187,11 @@ def test_extreme_draws_take_only_moves_of_positive_weight(monkeypatch, word, p, 
         assert y == tuple(a + s for a, s in zip(x, eps))
 
 
-def test_batch_chunk_invariance_and_snapshot_order():
-    a = sample_marginal_batch(2, 40, True, 9, 10, [0, 40, 80], chunk=3)
-    b = sample_marginal_batch(2, 40, True, 9, 10, [80, 0, 40], chunk=1024)
+def test_batch_chunk_invariance_and_snapshot_order(monkeypatch):
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 3)
+    a = sample_marginal_batch(2, 40, True, 9, 10, [0, 40, 80])
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 1024)
+    b = sample_marginal_batch(2, 40, True, 9, 10, [80, 0, 40])
     assert np.array_equal(a, b)
     paths = sample_path_batch(2, 40, True, 9, 10)
     assert np.array_equal(a[:, 0], paths[:, 0])
@@ -199,13 +201,15 @@ def test_batch_chunk_invariance_and_snapshot_order():
 
 @pytest.mark.parametrize("wall", [True, False])
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_marginal_batch_continues_from_a_snapshot(p, wall):
+def test_marginal_batch_continues_from_a_snapshot(monkeypatch, p, wall):
     # a chain stopped at its last snapshot and continued from it, with
     # chunks that split the 11 replicas unevenly, is the uninterrupted chain
-    whole = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25, 80], chunk=4)
-    head = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25], chunk=3)
-    tail = sample_marginal_batch(p, 40, wall, 5, 11, [25, 60, 80], chunk=4,
-                                 start=(25, head[:, 1]))
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 4)
+    whole = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25, 80])
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 3)
+    head = sample_marginal_batch(p, 40, wall, 5, 11, [10, 25])
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 4)
+    tail = sample_marginal_batch(p, 40, wall, 5, 11, [25, 60, 80], start=(25, head[:, 1]))
     assert np.array_equal(whole[:, :2], head)
     assert np.array_equal(whole[:, 1:], tail[:, [0, 2]])
     paths = sample_path_batch(p, 40, wall, 5, 11)
@@ -328,32 +332,57 @@ def array_digest(a):
 
 
 @pytest.mark.parametrize("p,wall", sorted(GOLDEN_MARGINALS))
-def test_marginal_batch_golden_bytes(p, wall):
+def test_marginal_batch_golden_bytes(monkeypatch, p, wall):
     n = 64
-    snaps = sample_marginal_batch(p, n, wall, 20260824 + p, 37, (0, 1, n, 2 * n), chunk=16)
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 16)
+    snaps = sample_marginal_batch(p, n, wall, 20260824 + p, 37, (0, 1, n, 2 * n))
     assert array_digest(snaps) == GOLDEN_MARGINALS[(p, wall)]
 
 
-class ChainReached(Exception):
+class DrawReached(Exception):
     pass
 
 
-def test_path_batch_size_cap_comes_before_the_chain(monkeypatch):
+@pytest.fixture
+def no_draws(monkeypatch):
+    """The first draw of either sampler raises DrawReached: no step is made."""
+    def first_draw(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(discrete_walk, "replica_words", first_draw)
+
+
+def test_path_batch_size_cap_comes_before_the_chain(no_draws):
     # full paths hold at most 60,000,000 elements: 128 * (2 * 117,187 + 1) * 2
     # is exactly that; a larger batch is refused before any step is drawn
-    def chain(*args):
-        raise ChainReached
-
-    monkeypatch.setattr(discrete_walk, "sample_marginal_batch", chain)
-    with pytest.raises(ChainReached):
+    with pytest.raises(DrawReached):
         sample_path_batch(2, 117_187, True, 0, 128)
     for p, n, replicas in ((2, 117_187, 129), (3, 20_000_000, 1)):
         with pytest.raises(ValueError, match="too large"):
             sample_path_batch(p, n, True, 0, replicas)
 
 
-def test_path_batch_golden_bytes():
-    assert array_digest(sample_path_batch(3, 40, True, 7, 5, chunk=2)) == GOLDEN_PATHS
+def test_marginal_batch_size_cap_comes_before_the_chain(no_draws):
+    # replicas * snapshot indices * p: 20,000,000 * 1 * 3 is the most
+    with pytest.raises(DrawReached):
+        sample_marginal_batch(3, 2, True, 0, 20_000_000, [1])
+    for replicas, ks in ((20_000_001, [1]), (10_000_001, [1, 3]), (10**12, [1])):
+        with pytest.raises(ValueError, match="too large"):
+            sample_marginal_batch(3, 2, True, 0, replicas, ks)
+
+
+def test_scalar_sample_size_cap_comes_before_the_draws(no_draws):
+    # one path holds (2n + 1) * p positions, at most 60,000,000
+    with pytest.raises(DrawReached):
+        sample_watermelon(1, 29_999_999, True, 0)
+    for p, n in ((1, 30_000_000), (2, 15_000_000), (1, 10**12)):
+        with pytest.raises(ValueError, match="too large"):
+            sample_watermelon(p, n, True, 0)
+
+
+def test_path_batch_golden_bytes(monkeypatch):
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 2)
+    assert array_digest(sample_path_batch(3, 40, True, 7, 5)) == GOLDEN_PATHS
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from watermelon.moments import (
     MomentQuery,
+    _wall_even_normalized,
+    _wall_odd_normalized,
     evaluate_moment,
     first_moments_table,
     moment_nowall_p2,
@@ -158,6 +161,34 @@ def test_validation_rejections():
         sym_nowall_expectation(2, 3, 0.5)
     with pytest.raises(ValueError, match="positive"):
         sym_wall_expectation(0, 1, 0.5)
+
+
+def test_lower_wall_branch_holds_its_error_bound_or_refuses():
+    # the two terms of the lower branch cancel; up to order 26 the result is
+    # within 1e-9 of the exact value, from 27 it is refused, and past the
+    # float range the Fractions overflow
+    t = 0.5
+    for order in range(1, 27):
+        with mpmath.workdps(60):
+            if order % 2 == 0:
+                a, b = _wall_even_normalized(1, order // 2)
+                exact = (a.numerator / mpmath.mpf(a.denominator) * mpmath.pi
+                         + b.numerator / mpmath.mpf(b.denominator)) / (3 * mpmath.pi)
+            else:
+                a, b = _wall_odd_normalized(1, (order + 1) // 2)
+                exact = (a.numerator / mpmath.mpf(a.denominator)
+                         + b.numerator / mpmath.mpf(b.denominator) * mpmath.sqrt(2)
+                         ) / (3 * mpmath.sqrt(mpmath.pi))
+            exact *= mpmath.mpf(t * (1 - t)) ** (mpmath.mpf(order) / 2)
+            assert abs(moment_wall_p2(1, order, t) / exact - 1) <= 1e-9, order
+    for order in (27, 90, 295):
+        with pytest.raises(ValueError, match=f"order {order}"):
+            moment_wall_p2(1, order, t)
+    for branch in (1, 2):
+        with pytest.raises(OverflowError):
+            moment_wall_p2(branch, 296, t)
+    # the upper branch does not cancel
+    assert moment_wall_p2(2, 295, t) > 0.0
 
 
 def test_query_dispatch():

@@ -127,10 +127,12 @@ def test_simulate_equals_batch_row_zero():
         assert np.array_equal(traj.values[i], snaps[0, j])
 
 
-def test_batch_chunk_invariance():
+def test_batch_chunk_invariance(monkeypatch):
     cfg = _quick_config(seed=77)
-    a = simulate_batch(cfg, 5, (0.3, 0.6), chunk=1)
-    b = simulate_batch(cfg, 5, (0.3, 0.6), chunk=1024)
+    monkeypatch.setattr(sde_sim, "_CHUNK", 1)
+    a = simulate_batch(cfg, 5, (0.3, 0.6))
+    monkeypatch.setattr(sde_sim, "_CHUNK", 1024)
+    b = simulate_batch(cfg, 5, (0.3, 0.6))
     assert np.array_equal(a, b)
 
 
@@ -193,14 +195,13 @@ def float_digest(a):
 
 
 @pytest.mark.parametrize("p,wall", sorted(GOLDEN_BATCHES))
-def test_batch_golden_bytes(p, wall):
+def test_batch_golden_bytes(monkeypatch, p, wall):
     digest, rescued, digest_to_end, rescued_to_end = GOLDEN_BATCHES[(p, wall)]
     cfg = SdeConfig(p=p, wall=wall, dt=1e-3, seed=20260824 + p)
-    snaps, diag = simulate_batch(cfg, 23, (0.25, 0.5, 0.75), chunk=8, with_diagnostics=True)
+    monkeypatch.setattr(sde_sim, "_CHUNK", 8)
+    snaps, diag = simulate_batch(cfg, 23, (0.25, 0.5, 0.75), with_diagnostics=True)
     assert (float_digest(snaps), diag["rescued_steps"]) == (digest, rescued)
-    longer, diag = simulate_batch(
-        cfg, 23, (0.25, 0.5, 0.75, 0.98), chunk=8, with_diagnostics=True
-    )
+    longer, diag = simulate_batch(cfg, 23, (0.25, 0.5, 0.75, 0.98), with_diagnostics=True)
     assert float_digest(longer[:, :3]) == digest
     assert (float_digest(longer), diag["rescued_steps"]) == (digest_to_end, rescued_to_end)
     # the digests pin the rescue path too: only p = 1 without a wall,

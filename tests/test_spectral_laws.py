@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from watermelon import stats_verify
 from watermelon.spectral_laws import (
     DensityParams,
     _replica_normals,
@@ -98,6 +99,23 @@ def test_density_chamber_boundaries():
     )
 
 
+def test_density_refuses_values_outside_double_range():
+    # at t = 1/2 the wall prefactor is 0 from p = 18 and overflows from
+    # p = 23; a tiny t(1-t) overflows it at p = 2
+    for p, t, wall in ((18, 0.5, True), (28, 0.5, False), (23, 0.5, True), (32, 0.5, False),
+                       (2, 1e-300, False)):
+        params = DensityParams(p, t, wall)
+        with pytest.raises(ValueError, match="prefactor"):
+            evaluate_density_grid(params, np.ones((3, p)))
+        with pytest.raises(ValueError, match="prefactor"):
+            density(params, np.arange(1.0, p + 1.0))
+    assert evaluate_density_grid(DensityParams(17, 0.5, True), np.ones((2, 17))).shape == (2,)
+    # inf times an underflowed exponential is nan: refused, without a warning
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="double range"):
+            density(DensityParams(3, 0.5, False), [-1e200, 0.0, 1e200])
+
+
 def test_density_params_validation():
     with pytest.raises(ValueError, match="t must"):
         DensityParams(1, 0.0, True)
@@ -172,13 +190,14 @@ def test_wall_p1_matches_quadrature_law():
 
 
 @pytest.mark.parametrize("branch", [0, 1])
-def test_wall_p2_branch_marginals(branch):
+def test_wall_p2_branch_marginals(monkeypatch, branch):
     lam = sample_wall_spectrum_batch(2, 8103, 10_000)
     thr = KS95 / math.sqrt(lam.shape[0])
-    cdf = branch_marginal_cdf(2, 0.5, True, branch, nodes=1025)
+    monkeypatch.setitem(stats_verify._QUADRATURE_NODES, 2, 1025)
+    cdf = branch_marginal_cdf(2, 0.5, True, branch)
     assert ks_statistic(lam[:, branch], cdf) <= thr
     # the other branch's law is rejected by a wide margin
-    other = branch_marginal_cdf(2, 0.5, True, 1 - branch, nodes=1025)
+    other = branch_marginal_cdf(2, 0.5, True, 1 - branch)
     assert ks_statistic(lam[:, branch], other) > 10.0 * thr
 
 
