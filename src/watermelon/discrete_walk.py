@@ -41,7 +41,6 @@ tuples.  That type and the path CSV reader and writer live in paths, which
 needs only the standard library, and are re-exported here.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -127,27 +126,6 @@ def step_weights(p, n, wall, k, x):
     return out
 
 
-@lru_cache(maxsize=1 << 17)
-def _cdf_table(p, n, wall, k, x):
-    """Scaled cumulative weights for exact inverse-CDF selection.
-
-    Returns (scaled_cum, total): scaled_cum[j] = (w_0+...+w_j) << 53.
-    A 53-bit draw u selects bisect_left(scaled_cum, (u+1)*total), which is
-    the smallest j with (u+1)/2^53 <= cum_j/total; an exact tie lands on
-    the lower index, and since (u+1)/2^53 > 0 the chosen w_j is positive.
-    """
-    weights = step_weights(p, n, wall, k, x)
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError(f"no admissible continuation from {x} at step {k}")
-    cum = []
-    c = 0
-    for w in weights:
-        c += w
-        cum.append(c << U_BITS)
-    return tuple(cum), total
-
-
 def sample_watermelon(p, n, wall, seed):
     """Draw one watermelon exactly uniformly.
 
@@ -166,8 +144,16 @@ def sample_watermelon(p, n, wall, seed):
     x = tuple(range(0, 2 * p, 2))
     rows = [x]
     for k in range(2 * n):
-        cum, total = _cdf_table(p, n, wall, k, x)
-        j = bisect_left(cum, (int(u[k]) + 1) * total)
+        # the first move j with (u+1)/2^53 <= (w_0+...+w_j)/total, exactly in
+        # integers; an exact tie lands on the lower index and, since u+1 > 0,
+        # the chosen weight is positive
+        weights = step_weights(p, n, wall, k, x)
+        goal = (int(u[k]) + 1) * sum(weights)
+        c = 0
+        for j, w in enumerate(weights):
+            c += w
+            if c << U_BITS >= goal:
+                break
         x = tuple(a + s for a, s in zip(x, moves[j]))
         rows.append(x)
     return WatermelonPath(p=p, n=n, positions=rows, wall=wall)
@@ -241,7 +227,9 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices, *, start=N
     sorted ascending.  Replica r depends only on (base_seed, r), so the
     result is independent of chunking and of any outer work splitting.
     A request for over 60,000,000 positions, replicas * len(k_indices) * p,
-    is refused with ValueError before anything is drawn or allocated.
+    or for a chain whose per-chunk draws, (last index - start step) *
+    min(replicas, 1024), exceed that count, is refused with ValueError
+    before anything is drawn or allocated.
 
     The chain stops at the last requested index: the steps after it, and
     their draws, are never made.  start=(k0, x0) continues the chains from
@@ -265,6 +253,8 @@ def sample_marginal_batch(p, n, wall, base_seed, replicas, k_indices, *, start=N
     k_slot = {k: s for s, k in enumerate(ks)}
     # nothing reads the chain past its last snapshot
     k_end = max(ks, default=k0)
+    if (k_end - k0) * min(replicas, _CHUNK) > _MAX_VALUES:
+        raise ValueError("the draws of this chain would be too large; use a smaller n")
 
     a = _factor_matrix(p, wall)
     moves = np.array(_moves(p), dtype=float).T  # (p, 2^p)

@@ -158,16 +158,15 @@ def sym_wall_expectation(p: int, k: int, t: float) -> float:
     (2p+1)! / ((2p+1-2k)! 2^k k!) * (t(1-t))^k.  The coefficient obeys the
     recurrence c_k = (p-k+1)(2(p-k)+3)/k * c_{k-1} with c_0 = 1, which is how
     it can be grown degree by degree; the closed form above telescopes it.
+    Its numerator is the product of the top 2k factors of (2p+1)!, so the
+    cost grows with k, not with p.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
     if not 1 <= k <= p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
     _check_time(t)
-    coeff = Fraction(
-        math.factorial(2 * p + 1),
-        math.factorial(2 * p + 1 - 2 * k) * 2**k * math.factorial(k),
-    )
+    coeff = Fraction(math.perm(2 * p + 1, 2 * k), 2**k * math.factorial(k))
     return float(coeff) * (t * (1.0 - t)) ** k
 
 
@@ -185,10 +184,7 @@ def sym_nowall_expectation(p: int, k: int, t: float) -> float:
     if k % 2 == 1:
         return 0.0
     m = k // 2
-    coeff = Fraction(
-        (-1) ** m * math.factorial(p),
-        math.factorial(p - 2 * m) * 2**m * math.factorial(m),
-    )
+    coeff = Fraction((-1) ** m * math.perm(p, 2 * m), 2**m * math.factorial(m))
     return float(coeff) * (t * (1.0 - t)) ** m
 
 

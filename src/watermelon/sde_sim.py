@@ -32,6 +32,7 @@ import numpy as np
 
 from .discrete_walk import _MAX_VALUES, derive_replica_rng, words
 from .spectral_laws import (
+    _check_draw_size,
     sample_gue_spectrum_batch,
     sample_wall_spectrum_batch,
     words_to_normals,
@@ -236,14 +237,16 @@ def _grid(cfg: SdeConfig) -> np.ndarray:
 def _batch_record_indices(config: SdeConfig, replicas: int, record_times) -> list[int]:
     """Grid indices of a batch's record times, after its size checks.
 
-    ValueError unless replicas is positive, the snapshots hold at most
-    60,000,000 values and every record time is on the grid.  Nothing is
-    integrated, so a caller can check a batch before it writes anything.
+    ValueError unless replicas is positive, the snapshots and the initial
+    spectral draw each hold at most 60,000,000 values and every record time
+    is on the grid.  Nothing is integrated, so a caller can check a batch
+    before it writes anything.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
     if replicas * len(record_times) * config.p > _MAX_VALUES:
         raise ValueError("snapshots for this batch would be too large; use fewer replicas")
+    _check_draw_size(config.p, config.wall, replicas)
     return _record_indices(_grid(config), record_times)
 
 
@@ -364,8 +367,9 @@ def simulate_batch(
     record time; a snapshot is the same whatever later times are recorded.
     With with_diagnostics the result comes with {"rescued_steps": count}
     of the base steps that were halved, up to the last record time.
-    A grid of over 4,000,000 points or a batch of over 60,000,000 snapshot
-    values is refused with ValueError before anything is integrated.
+    A grid of over 4,000,000 points, or a batch of over 60,000,000 snapshot
+    values or initial matrix entries, is refused with ValueError before
+    anything is integrated.
     """
     rec = _batch_record_indices(config, replicas, record_times)
     snaps, n_rescued = _integrate(config, replicas, rec)

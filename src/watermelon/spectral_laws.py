@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_walk import _U_DEN, replica_words
+from .discrete_walk import _MAX_VALUES, _U_DEN, replica_words
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,20 @@ def density(params, x):
 
     The chamber is 0 <= x_1 <= ... <= x_p with the wall (params.wall) and
     x_1 <= ... <= x_p without it.  A value a double cannot carry, such as
-    inf times an underflowed exponential, is refused with ValueError.
+    inf times an underflowed exponential, or a 0 strictly inside the
+    chamber, where the true value is positive, is refused with ValueError.
     """
     v = np.asarray(x, dtype=float)
     if v.shape != (params.p,):
         raise ValueError(f"x must be a vector of length {params.p}")
-    if (params.wall and v[0] < 0) or not (np.diff(v) >= 0).all():
+    gaps = np.diff(v)
+    if (params.wall and v[0] < 0) or not (gaps >= 0).all():
         return 0.0
     with np.errstate(all="ignore"):
         value = float(evaluate_density_grid(params, v))
-    if not math.isfinite(value):
+    # the density is positive strictly inside the chamber: a 0 there underflowed
+    interior = (gaps > 0).all() and not (params.wall and v[0] == 0)
+    if not math.isfinite(value) or (value == 0.0 and interior):
         raise ValueError(f"the density at {v.tolist()} is outside double range")
     return value
 
@@ -149,6 +153,16 @@ def words_to_normals(u):
     return ndtri(u, out=u)
 
 
+def _check_draw_size(p, wall, replicas):
+    """ValueError when replicas model matrices would hold over 60,000,000 entries.
+
+    A matrix is d x d, d = 2p+1 with the wall and p without.
+    """
+    d = 2 * p + 1 if wall else p
+    if replicas * d * d > _MAX_VALUES:
+        raise ValueError("this spectral draw would be too large; use a smaller p or fewer replicas")
+
+
 def _replica_normals(base_seed, replicas, count):
     """(replicas, count) standard normals, one private stream per replica."""
     u = np.empty((replicas, count))
@@ -161,6 +175,7 @@ def sample_wall_spectrum_batch(p, base_seed, replicas):
     """(replicas, p) draws of the wall spectrum, each row ascending positive."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    _check_draw_size(p, True, replicas)
     d = 2 * p + 1
     iu, ju = np.triu_indices(d, 1)
     z = 0.5 * _replica_normals(base_seed, replicas, iu.size)
@@ -177,6 +192,7 @@ def sample_gue_spectrum_batch(p, base_seed, replicas):
     """(replicas, p) draws of the scaled GUE spectrum, rows ascending."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    _check_draw_size(p, False, replicas)
     z = _replica_normals(base_seed, replicas, p * p)
     tri = np.zeros((replicas, p, p))
     idx = np.arange(p)

@@ -46,7 +46,6 @@ from .moments import (
     MomentQuery,
     evaluate_moment,
     first_moments_table,
-    normalized_table_entry,
     sym_nowall_expectation,
     sym_wall_expectation,
 )
@@ -111,14 +110,16 @@ def empirical_moment(sample, order):
 # Gamma and chi-square laws
 
 
-def norm_squared_cdf(p, t, wall):
-    """CDF of |X(t)|^2 under the limit law: Gamma(d/2, 2t(1-t)).
+def _bessel_dimension(p, wall):
+    """The Bessel dimension d of |X(t)|: p(2p+1) with the wall, p^2 without."""
+    return p * (2 * p + 1) if wall else p * p
 
-    d is the Bessel dimension p(2p+1) with the wall, p^2 without.
-    """
+
+def norm_squared_cdf(p, t, wall):
+    """CDF of |X(t)|^2 under the limit law: Gamma(d/2, 2t(1-t)), d the Bessel dimension."""
     if not 0 < t < 1:
         raise ValueError("t must lie in (0, 1)")
-    d = p * (2 * p + 1) if wall else p * p
+    d = _bessel_dimension(p, wall)
     scale = 2.0 * t * (1.0 - t)
 
     def cdf(y):
@@ -326,6 +327,18 @@ def _source(kind, p, wall, base_seed, t):
     return snaps[t], seed
 
 
+def _read(kind, p, wall, base_seed, t, rng=None):
+    """(values at time t in continuum units, seed) of a shared source.
+
+    Lattice snapshots are dequantized at n = _SOURCE_STEPS, with jitter
+    drawn from rng when it is given; SDE snapshots are returned as stored.
+    """
+    vals, seed = _source(kind, p, wall, base_seed, t)
+    if kind == "discrete":
+        vals = dequantize_lattice(vals, _SOURCE_STEPS, wall, rng)
+    return vals, seed
+
+
 def _jitter_rng(base_seed, name):
     return np.random.Generator(np.random.PCG64(derive_check_seed(base_seed, name)))
 
@@ -490,9 +503,8 @@ def _check_sampler_uniformity(base_seed, *, samples: _POSITIVE = 100_000):
 
 
 def _check_marginal_ks(base_seed, *, p: range(1, 3), wall: _WALL):
-    snaps, seed = _source("discrete", p, wall, base_seed, 0.5)
     rng = _jitter_rng(base_seed, f"marginal_ks/{p}/{int(wall)}/jitter")
-    vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
+    vals, seed = _read("discrete", p, wall, base_seed, 0.5, rng)
     n_obs = vals.shape[0]
     out = []
     for b in range(p):
@@ -541,75 +553,53 @@ def _check_norm_gamma_oracle(base_seed):
     ]
 
 
-def _check_norm_law_discrete(base_seed, *, p: _POSITIVE, wall: _WALL):
-    rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
-    d = p * (2 * p + 1) if wall else p * p
+def _norm_law(check, kind, what, base_seed, p, wall, rng=None):
+    """KS records of |values|^2 against the Gamma norm law at _SOURCE_TIMES."""
     out = []
     for t in _SOURCE_TIMES:
-        snaps, seed = _source("discrete", p, wall, base_seed, t)
-        n_obs = snaps.shape[0]
-        vals = dequantize_lattice(snaps, _SOURCE_STEPS, wall, rng)
+        vals, seed = _read(kind, p, wall, base_seed, t, rng)
+        n_obs = vals.shape[0]
         y = np.sum(vals * vals, axis=1)
         out.append(
             _record(
-                f"norm_law_discrete/p{p}/{_wall_tag(wall)}/t{round(100 * t)}",
+                f"{check}/p{p}/{_wall_tag(wall)}/t{round(100 * t)}",
                 ks_statistic(y, norm_squared_cdf(p, t, wall)),
                 _ks_threshold(n_obs),
                 n_obs,
                 seed,
                 detail=(
-                    f"KS of jittered |walk|^2 at t = {t} against "
-                    f"Gamma({d}/2, 2t(1-t))"
+                    f"KS of {what} at t = {t} against "
+                    f"Gamma({_bessel_dimension(p, wall)}/2, 2t(1-t))"
                 ),
             )
         )
     return out
 
 
+def _check_norm_law_discrete(base_seed, *, p: _POSITIVE, wall: _WALL):
+    # one jitter stream across the three times, drawn in time order
+    rng = _jitter_rng(base_seed, f"norm_law_discrete/{p}/{int(wall)}/jitter")
+    return _norm_law("norm_law_discrete", "discrete", "jittered |walk|^2", base_seed, p, wall, rng)
+
+
 def _check_norm_law_sde(base_seed, *, p: _POSITIVE, wall: _WALL):
-    d = p * (2 * p + 1) if wall else p * p
-    out = []
-    for t in _SOURCE_TIMES:
-        vals, seed = _source("sde", p, wall, base_seed, t)
-        n_obs = vals.shape[0]
-        y = np.sum(vals * vals, axis=1)
-        out.append(
-            _record(
-                f"norm_law_sde/p{p}/{_wall_tag(wall)}/t{round(100 * t)}",
-                ks_statistic(y, norm_squared_cdf(p, t, wall)),
-                _ks_threshold(n_obs),
-                n_obs,
-                seed,
-                detail=f"KS of |X(t)|^2 at t = {t} against Gamma({d}/2, 2t(1-t))",
-            )
-        )
-    return out
+    return _norm_law("norm_law_sde", "sde", "|X(t)|^2", base_seed, p, wall)
 
 
 def _check_moment_table(base_seed):
-    worst = 0.0
-    count = 0
-    rows = {row["order"]: row for row in first_moments_table()}
-    columns = {
-        (False, 1): "nowall_lower",
-        (False, 2): "nowall_upper",
-        (True, 1): "wall_lower",
-        (True, 2): "wall_upper",
-    }
-    for (wall, branch), column in _TABLE_REFERENCE.items():
-        for order, want in enumerate(column, start=1):
-            got = normalized_table_entry(wall, branch, order)
-            via_table = rows[order][columns[(wall, branch)]]
-            if via_table != got:
-                raise AssertionError("table rows disagree with direct entries")
-            worst = max(worst, abs(got - want) / abs(want))
-            count += 1
+    # the rows moments --table prints, orders 1-6, scored against the reference
+    rows = first_moments_table()
+    errors = [
+        abs(row[column] - want) / abs(want)
+        for column, reference in _TABLE_REFERENCE.items()
+        for row, want in zip(rows, reference, strict=True)
+    ]
     return [
         _record(
             "moment_table",
-            worst,
+            max(errors),
             1e-12,
-            count,
+            len(errors),
             0,
             detail=(
                 "worst relative error of the 24 normalized table entries "
@@ -621,9 +611,7 @@ def _check_moment_table(base_seed):
 
 def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _WALL):
     kind = "discrete" if source == "discrete_walk" else "sde"
-    vals, seed = _source(kind, 2, wall, base_seed, 0.5)
-    if kind == "discrete":
-        vals = dequantize_lattice(vals, _SOURCE_STEPS, wall)
+    vals, seed = _read(kind, 2, wall, base_seed, 0.5)
     worst = 0.0
     for branch in (1, 2):
         col = vals[:, branch - 1]
@@ -649,16 +637,14 @@ def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _
 
 
 def _check_symmetric_poly_mc(base_seed, *, p: range(1, 4), wall: _WALL):
-    snaps, seed = _source("discrete", p, wall, base_seed, 0.5)
-    x = dequantize_lattice(snaps, _SOURCE_STEPS, wall)
+    x, seed = _read("discrete", p, wall, base_seed, 0.5)
     y = x * x if wall else x
     closed = sym_wall_expectation if wall else sym_nowall_expectation
     n_obs = y.shape[0]
     worst = 0.0
     for k in range(1, p + 1):
-        e = _elementary_symmetric(y, k)
-        se = float(e.std(ddof=1)) / math.sqrt(n_obs)
-        worst = max(worst, abs(float(e.mean()) - closed(p, k, 0.5)) / se)
+        mean, se = empirical_moment(_elementary_symmetric(y, k), 1)
+        worst = max(worst, abs(mean - closed(p, k, 0.5)) / se)
     return [
         _record(
             f"symmetric_poly_mc/p{p}/{_wall_tag(wall)}",
@@ -804,11 +790,12 @@ def _check_stirling_error_decay(base_seed):
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
-# Normalized first-moment table, entered term by term from the closed
-# forms and kept independent of the general evaluator in moments.py so
-# the comparison is a genuine cross-check, not a tautology.
+# Normalized first-moment table by column of first_moments_table, orders
+# 1-6, entered term by term from the closed forms and kept independent of
+# the general evaluator in moments.py so the comparison is a genuine
+# cross-check, not a tautology.
 _TABLE_REFERENCE = {
-    (False, 1): [
+    "nowall_lower": [
         -4.0 * _SQRT_PI,
         4.0 * math.pi,
         -14.0 * _SQRT_PI,
@@ -816,7 +803,7 @@ _TABLE_REFERENCE = {
         -79.0 * _SQRT_PI,
         120.0 * math.pi,
     ],
-    (False, 2): [
+    "nowall_upper": [
         4.0 * _SQRT_PI,
         4.0 * math.pi,
         14.0 * _SQRT_PI,
@@ -824,7 +811,7 @@ _TABLE_REFERENCE = {
         79.0 * _SQRT_PI,
         120.0 * math.pi,
     ],
-    (True, 1): [
+    "wall_lower": [
         (15.0 * _SQRT_2 - 15.0) * _SQRT_PI,
         15.0 * math.pi - 32.0,
         (108.0 * _SQRT_2 - 279.0 / 2.0) * _SQRT_PI,
@@ -832,7 +819,7 @@ _TABLE_REFERENCE = {
         (1128.0 * _SQRT_2 - 6213.0 / 4.0) * _SQRT_PI,
         1575.0 * math.pi - 4800.0,
     ],
-    (True, 2): [
+    "wall_upper": [
         15.0 * _SQRT_PI,
         15.0 * math.pi + 32.0,
         (279.0 / 2.0) * _SQRT_PI,
@@ -952,8 +939,12 @@ def _run_plan_item(item, base_seed):
     return fn(base_seed, **params)
 
 
-_SDE_CHECKS = ("norm_law_sde", "sde_invariants", "sde_step_halving", "sde_time_symmetry")
-_LATTICE_CHECKS = ("marginal_ks", "norm_law_discrete", "symmetric_poly_mc")
+# the source kind each check with a p parameter reads
+_SOURCE_KINDS = {
+    "norm_law_sde": "sde", "sde_invariants": "sde", "sde_step_halving": "sde",
+    "sde_time_symmetry": "sde", "marginal_ks": "discrete", "norm_law_discrete": "discrete",
+    "symmetric_poly_mc": "discrete",
+}
 
 
 def _source_of(item):
@@ -965,10 +956,8 @@ def _source_of(item):
     if check == "moment_mc":
         kind = "sde" if params.get("source") == "sde_sim" else "discrete"
         return (kind, 2, params.get("wall"))
-    if check in _SDE_CHECKS:
-        return ("sde", params.get("p"), params.get("wall"))
-    if check in _LATTICE_CHECKS:
-        return ("discrete", params.get("p"), params.get("wall"))
+    if check in _SOURCE_KINDS:
+        return (_SOURCE_KINDS[check], params.get("p"), params.get("wall"))
     return None
 
 

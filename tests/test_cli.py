@@ -354,10 +354,16 @@ def test_moments_order_26_keeps_its_bytes(capsys):
         ["moments", "--wall", "--p", "150", "--order", "150"],
         # a path of 2 * 10^12 + 1 positions
         ["sample", "--p", "1", "--n", "1000000000000"],
+        # a 100,000 x 100,000 initial spectral draw
+        ["simulate", "--p", "100000", "--dt", "0.5"],
+        # an exponential that underflows on its own: the true density is 4.68e-245
+        ["density", "--p", "1", "--wall", "--t", "1e-200", "--x", "4e-99"],
+        ["density", "--p", "1", "--t", "0.5", "--x", "40"],
     ],
     ids=["density-wall-p20", "density-nowall-p30", "density-nan", "density-wall-p25",
          "density-tiny-t", "moments-27", "moments-90", "moments-296", "moments-nowall-300",
-         "moments-sym-p150", "sample-huge-n"],
+         "moments-sym-p150", "sample-huge-n", "simulate-huge-p", "density-false-zero",
+         "density-far-tail"],
 )
 def test_refusals_are_clean_usage_errors(capsys, argv):
     # exit 2, one error line, nothing on stdout: no traceback, no numpy

@@ -371,6 +371,23 @@ def test_marginal_batch_size_cap_comes_before_the_chain(no_draws):
             sample_marginal_batch(3, 2, True, 0, replicas, ks)
 
 
+def test_marginal_batch_chain_draws_cap_comes_before_the_chain(no_draws, monkeypatch):
+    # one snapshot can need a long chain: its per-chunk draws, (last index -
+    # start step) * min(replicas, _CHUNK), are capped too
+    with pytest.raises(ValueError, match="too large"):
+        sample_marginal_batch(1, 10**12, True, 0, 1, [2 * 10**12])
+    monkeypatch.setattr(discrete_walk, "_MAX_VALUES", 2048)
+    monkeypatch.setattr(discrete_walk, "_CHUNK", 4)
+    for replicas, k, start in ((10, 512, None), (2, 1024, None),
+                               (4, 1024, (512, np.zeros((4, 1), dtype=np.int64)))):
+        with pytest.raises(DrawReached):
+            sample_marginal_batch(1, 1024, True, 0, replicas, [k], start=start)
+    for replicas, k, start in ((10, 513, None), (3, 683, None),
+                               (4, 1026, (512, np.zeros((4, 1), dtype=np.int64)))):
+        with pytest.raises(ValueError, match="too large"):
+            sample_marginal_batch(1, 1024, True, 0, replicas, [k], start=start)
+
+
 def test_scalar_sample_size_cap_comes_before_the_draws(no_draws):
     # one path holds (2n + 1) * p positions, at most 60,000,000
     with pytest.raises(DrawReached):

@@ -1,6 +1,8 @@
 """Closed-form moment values, table reproduction, and oracle agreement."""
 
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -146,6 +148,30 @@ def test_sym_wall_coefficient_recurrence(p, k):
     prev = 1.0 if k == 1 else sym_wall_expectation(p, k - 1, t) / u ** (k - 1)
     want = prev * (p - k + 1) * (2 * (p - k) + 3) / k
     assert cur == pytest.approx(want, rel=1e-9)
+
+
+def test_sym_coefficients_equal_their_factorial_forms():
+    # the falling-factorial coefficients give the values of the factorial
+    # quotients (2p+1)!/((2p+1-2k)! 2^k k!) and p!/((p-2m)! 2^m m!), bit for bit
+    t = 0.3
+    u = t * (1 - t)
+    for p in range(1, 41):
+        for k in range(1, p + 1):
+            wall = Fraction(math.factorial(2 * p + 1),
+                            math.factorial(2 * p + 1 - 2 * k) * 2**k * math.factorial(k))
+            assert sym_wall_expectation(p, k, t) == float(wall) * u**k
+            m = k // 2
+            free = 0 if k % 2 else Fraction((-1) ** m * math.factorial(p),
+                                            math.factorial(p - 2 * m) * 2**m * math.factorial(m))
+            assert sym_nowall_expectation(p, k, t) == float(free) * u**m
+
+
+def test_sym_low_orders_cost_no_factorial_of_p():
+    # the factorial quotient took seconds here; two factors take microseconds
+    start = time.perf_counter()
+    assert sym_wall_expectation(10**6, 1, 0.5) == 500000250000
+    assert sym_nowall_expectation(10**6, 2, 0.5) == -(10**6) * (10**6 - 1) / 8
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validation_rejections():

@@ -349,14 +349,26 @@ def test_batch_grid_size_cap_boundary(no_integration):
 
 def test_batch_snapshot_size_cap_comes_before_integration(no_integration):
     # a batch holds at most 60,000,000 snapshot values: replicas times
-    # record times times p
+    # record times times p (four times, so that the 3 x 3 initial matrices,
+    # 45,000,000 entries here, stay inside their own bound)
     cfg = SdeConfig(p=3, wall=False, dt=0.01)
     with pytest.raises(IntegrationReached):
-        simulate_batch(cfg, 10_000_000, (0.25, 0.5))
+        simulate_batch(cfg, 5_000_000, (0.25, 0.5, 0.75, 0.9))
     with pytest.raises(ValueError, match="too large"):
-        simulate_batch(cfg, 10_000_001, (0.25, 0.5))
+        simulate_batch(cfg, 5_000_001, (0.25, 0.5, 0.75, 0.9))
     with pytest.raises(ValueError, match="too large"):
         summarize_batch(SdeConfig(p=1, wall=False, dt=0.01), 10**12, (0.25, 0.5, 0.75))
+
+
+def test_batch_spectral_draw_cap_comes_before_integration(no_integration):
+    # the initial state is one spectral draw of replicas (2p+1) x (2p+1)
+    # matrices with the wall, p x p without; it is checked with the snapshots
+    with pytest.raises(IntegrationReached):
+        simulate_batch(SdeConfig(p=2, wall=True, dt=0.01), 2_400_000, (0.5,))
+    with pytest.raises(ValueError, match="too large"):
+        simulate_batch(SdeConfig(p=2, wall=True, dt=0.01), 2_400_001, (0.5,))
+    with pytest.raises(ValueError, match="too large"):
+        summarize_batch(SdeConfig(p=100_000, wall=False, dt=0.5), 2, (0.5,))
 
 
 def test_rescue_diagnostics_counted():

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from watermelon import stats_verify
+from watermelon import spectral_laws, stats_verify
 from watermelon.spectral_laws import (
     DensityParams,
     _replica_normals,
@@ -114,6 +114,20 @@ def test_density_refuses_values_outside_double_range():
     with np.errstate(all="raise"):
         with pytest.raises(ValueError, match="double range"):
             density(DensityParams(3, 0.5, False), [-1e200, 0.0, 1e200])
+
+
+def test_density_refuses_a_false_zero_inside_the_chamber():
+    # exp(-800) underflows while the true density is 4.68e-245; at x = 40
+    # the true value, about e^-3200, is below the smallest double
+    for p, t, wall, x in ((1, 1e-200, True, [4e-99]), (1, 0.5, False, [40.0]),
+                          (2, 0.5, True, [30.0, 31.0])):
+        with pytest.raises(ValueError, match="double range"):
+            density(DensityParams(p, t, wall), x)
+    # on the boundary and outside the chamber 0 is the density
+    assert density(DensityParams(2, 0.5, True), [0.0, 1.0]) == 0.0
+    assert density(DensityParams(2, 0.5, False), [1.0, 1.0]) == 0.0
+    assert density(DensityParams(2, 0.5, True), [40.0, 40.0]) == 0.0
+    assert density(DensityParams(1, 0.5, True), [-40.0]) == 0.0
 
 
 def test_density_params_validation():
@@ -229,6 +243,29 @@ def test_gue_p2_eigenvalue_product_mean():
     prod = mu[:, 0] * mu[:, 1]
     se = prod.std(ddof=1) / math.sqrt(prod.size)
     assert abs(prod.mean() - (-0.5)) <= 3.0 * se
+
+
+class DrawReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("wall, d", [(True, 7), (False, 3)])
+def test_spectrum_draw_size_cap_comes_before_the_draw(monkeypatch, wall, d):
+    # replicas d x d matrices, d = 2p+1 with the wall and p without, hold
+    # at most _MAX_VALUES entries; a larger draw is refused before any word
+    sampler = sample_wall_spectrum_batch if wall else sample_gue_spectrum_batch
+
+    def first_draw(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(spectral_laws, "replica_words", first_draw)
+    with pytest.raises(ValueError, match="too large"):
+        sampler(100_000, 1, 1)
+    monkeypatch.setattr(spectral_laws, "_MAX_VALUES", 10 * d * d)
+    with pytest.raises(DrawReached):
+        sampler(3, 1, 10)
+    with pytest.raises(ValueError, match="too large"):
+        sampler(3, 1, 11)
 
 
 def test_sampler_rejects_bad_p():
