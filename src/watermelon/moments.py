@@ -151,6 +151,27 @@ def moment_nowall_p2(branch: int, order: int, t: float) -> float:
     return sign * float(bracket) * u ** (order / 2.0) / (2.0 * math.sqrt(math.pi))
 
 
+def _falling_mean(n: int, m: int, t: float) -> float:
+    """perm(n, 2m) / (2^m m!) * (t(1-t))^m as a float.
+
+    The exact coefficient has about 2m log2(n) bits, so a value whose
+    lgamma estimate lies past 2^1025 raises OverflowError before it is
+    built.  A coefficient past double range whose power of t(1-t) brings
+    the value back is scaled exactly and rounded once.
+    """
+    u = t * (1.0 - t)
+    log2_value = (
+        math.lgamma(n + 1) - math.lgamma(n + 1 - 2 * m) - math.lgamma(m + 1)
+    ) / math.log(2.0) + m * (math.log2(u) - 1.0)
+    if log2_value > 1025:
+        raise OverflowError(f"the mean is about 2^{log2_value:.0f}, past double range")
+    coeff = Fraction(math.perm(n, 2 * m), 2**m * math.factorial(m))
+    try:
+        return float(coeff) * u**m
+    except OverflowError:
+        return float(coeff * Fraction(u) ** m)
+
+
 def sym_wall_expectation(p: int, k: int, t: float) -> float:
     """Mean of the k-th elementary symmetric polynomial of the squared branches.
 
@@ -166,8 +187,7 @@ def sym_wall_expectation(p: int, k: int, t: float) -> float:
     if not 1 <= k <= p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
     _check_time(t)
-    coeff = Fraction(math.perm(2 * p + 1, 2 * k), 2**k * math.factorial(k))
-    return float(coeff) * (t * (1.0 - t)) ** k
+    return _falling_mean(2 * p + 1, k, t)
 
 
 def sym_nowall_expectation(p: int, k: int, t: float) -> float:
@@ -184,8 +204,7 @@ def sym_nowall_expectation(p: int, k: int, t: float) -> float:
     if k % 2 == 1:
         return 0.0
     m = k // 2
-    coeff = Fraction((-1) ** m * math.perm(p, 2 * m), 2**m * math.factorial(m))
-    return float(coeff) * (t * (1.0 - t)) ** m
+    return (-1) ** m * _falling_mean(p, m, t)
 
 
 def normalized_table_entry(wall: bool, branch: int, order: int) -> float:

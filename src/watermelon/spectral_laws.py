@@ -83,7 +83,7 @@ def evaluate_density_grid(params, points):
     points has shape (..., p); no chamber restriction is applied, so the
     result is the plain formula: even and permutation-symmetric.  The
     integral over all of R^p is 2^p p! (wall) or p! (no wall) times the
-    chamber integral; quadrature code relies on this smooth unfolding.
+    chamber integral.
     ValueError when the prefactor, the constant times the power of
     t(1-t), overflows a double or underflows to 0.
     """

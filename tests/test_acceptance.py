@@ -23,7 +23,7 @@ pytestmark = pytest.mark.slow
 
 KS_05 = KS_SERIES_COEFF[0.05] / math.sqrt(10_000)
 # sha256 of report_to_json for the default plan at DEFAULT_BASE_SEED
-REPORT_SHA256 = "69847a12ec84a38c615d1e411c9ac341a088a8a495703cfcb81378cc1d077652"
+REPORT_SHA256 = "7821a1ee16441916fbec312d92918f3f92a7168b99bc26404995d913f0ca0c7a"
 
 
 @pytest.fixture(scope="module")

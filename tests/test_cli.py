@@ -351,7 +351,8 @@ def test_moments_order_26_keeps_its_bytes(capsys):
         ["moments", "--wall", "--branch", "1", "--order", "90"],
         ["moments", "--wall", "--branch", "1", "--order", "296"],
         ["moments", "--branch", "1", "--order", "300"],
-        ["moments", "--wall", "--p", "150", "--order", "150"],
+        # a mean of about 2^2354676, refused before its exact coefficient is built
+        ["moments", "--wall", "--p", "1000000", "--order", "100000"],
         # a path of 2 * 10^12 + 1 positions
         ["sample", "--p", "1", "--n", "1000000000000"],
         # a 100,000 x 100,000 initial spectral draw
@@ -362,7 +363,7 @@ def test_moments_order_26_keeps_its_bytes(capsys):
     ],
     ids=["density-wall-p20", "density-nowall-p30", "density-nan", "density-wall-p25",
          "density-tiny-t", "moments-27", "moments-90", "moments-296", "moments-nowall-300",
-         "moments-sym-p150", "sample-huge-n", "simulate-huge-p", "density-false-zero",
+         "moments-sym-p1e6", "sample-huge-n", "simulate-huge-p", "density-false-zero",
          "density-far-tail"],
 )
 def test_refusals_are_clean_usage_errors(capsys, argv):

@@ -174,6 +174,38 @@ def test_sym_low_orders_cost_no_factorial_of_p():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sym_means_past_double_range_refused_at_once():
+    # the exact coefficients here run to millions of bits and took 19 s and
+    # 3 s to build before their float conversion overflowed
+    for fn, p, k in ((sym_wall_expectation, 10**6, 10**5),
+                     (sym_nowall_expectation, 10**6, 8 * 10**4)):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="past double range"):
+            fn(p, k, 0.5)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "fn,p,k,t",
+    [(sym_wall_expectation, 10**6, 30, 0.001), (sym_nowall_expectation, 10**6, 60, 0.001),
+     (sym_wall_expectation, 150, 150, 0.5)],
+    ids=["wall-p1e6", "nowall-p1e6", "wall-p150"],
+)
+def test_sym_coefficient_past_double_range_with_mean_inside(fn, p, k, t):
+    # the coefficient passes 2^1024 but the power of t(1-t) brings the mean
+    # back (about 3.9e246, 3.4e228 and 5.5e218); the estimate sums the logs
+    # of the factors of perm(n, 2m) / (2^m m!) (t(1-t))^m
+    n, m = (2 * p + 1, k) if fn is sym_wall_expectation else (p, k // 2)
+    log_mean = math.fsum(
+        [math.log(n - j) for j in range(2 * m)]
+        + [-math.log(2 * j) for j in range(1, m + 1)]
+        + [m * math.log(t * (1 - t))]
+    )
+    value = fn(p, k, t)
+    assert math.isfinite(value) and value > 1e218
+    assert value == pytest.approx(math.exp(log_mean), rel=1e-9)
+
+
 def test_validation_rejections():
     with pytest.raises(ValueError, match="branch"):
         moment_wall_p2(3, 2, 0.5)
@@ -237,9 +269,9 @@ def test_query_dispatch():
     order=st.integers(1, 6),
 )
 def test_quadrature_oracle_agreement(wall, branch, order):
-    # independent check: integrate x^order against the marginal CDF built by
-    # quadrature from the density formulas; the comparison tolerance covers
-    # the grid discretization error of the oracle at order 6
+    # independent check: integrate x^order against the Gram-determinant
+    # marginal CDF on a grid; the comparison tolerance covers the grid
+    # discretization error at order 6
     t = 0.5
     F = branch_marginal_cdf(2, t, wall, branch - 1)
     hi = 10.0 * math.sqrt(t * (1 - t)) * math.sqrt(2)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from watermelon import spectral_laws, stats_verify
+from watermelon import spectral_laws
 from watermelon.spectral_laws import (
     DensityParams,
     _replica_normals,
@@ -204,10 +204,9 @@ def test_wall_p1_matches_quadrature_law():
 
 
 @pytest.mark.parametrize("branch", [0, 1])
-def test_wall_p2_branch_marginals(monkeypatch, branch):
+def test_wall_p2_branch_marginals(branch):
     lam = sample_wall_spectrum_batch(2, 8103, 10_000)
     thr = KS95 / math.sqrt(lam.shape[0])
-    monkeypatch.setitem(stats_verify._QUADRATURE_NODES, 2, 1025)
     cdf = branch_marginal_cdf(2, 0.5, True, branch)
     assert ks_statistic(lam[:, branch], cdf) <= thr
     # the other branch's law is rejected by a wide margin

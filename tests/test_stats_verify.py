@@ -5,7 +5,6 @@ import json
 import math
 from itertools import combinations
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -28,7 +27,6 @@ from watermelon.stats_verify import (
 )
 from watermelon.exact_count import StarQuery, count_stars, watermelon_start
 from watermelon.moments import moment_nowall_p2, moment_wall_p2
-from watermelon.spectral_laws import DensityParams
 
 # (p, t, wall, x, P(|X(t)|^2 <= x)): a 30-digit mpmath evaluation of the
 # regularized incomplete gamma at shape d/2 and scale 2t(1-t), covering the
@@ -186,7 +184,7 @@ def test_empirical_moment_small_case():
 
 
 # ---------------------------------------------------------------------------
-# quadrature CDFs
+# branch marginal CDFs
 
 
 def test_branch_marginal_cdf_shape_and_range():
@@ -206,79 +204,62 @@ def test_branch_marginal_cdf_wall_starts_at_zero():
     assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def _pair_density_oracle(t, wall, branch, u):
-    """40-digit quadrature of the p = 2 density over the other coordinate.
-
-    The density is written out from the formulas (constants 1/(3 pi s^5)
-    with the wall and 1/(2 pi s^2) without, s = t(1-t)) and integrated on
-    the ordered side: v > u for the lower branch, v < u for the upper.
-    """
-    with mpmath.workdps(40):
-        s = mpmath.mpf(t) * (1 - mpmath.mpf(t))
-        u = mpmath.mpf(u)
-        if wall:
-            c = 1 / (3 * mpmath.pi * s**5)
-
-            def f(v):
-                return c * u**2 * v**2 * (v**2 - u**2) ** 2 * mpmath.exp(-(u**2 + v**2) / (2 * s))
-
-            ends = [u, mpmath.inf] if branch == 0 else [0, u]
-        else:
-            c = 1 / (2 * mpmath.pi * s**2)
-
-            def f(v):
-                return c * (v - u) ** 2 * mpmath.exp(-(u**2 + v**2) / (2 * s))
-
-            ends = [u, mpmath.inf] if branch == 0 else [-mpmath.inf, u]
-        return float(mpmath.quad(f, ends))
+# (t, wall, branch, x, P(X_branch(t) <= x)) for p = 2, branch 0-based
+# ascending: 30-digit nested mpmath.quad of the density over the ordered
+# chamber (x_1 < x_2, and 0 < x_1 with the wall), the outer integral over
+# the branch in question up to x, the inner over the other one.  The
+# density is written out from the formulas, s = t(1-t): with the wall
+# u^2 v^2 (v^2 - u^2)^2 exp(-(u^2 + v^2)/2s) / (3 pi s^5) on 0 < u < v,
+# without (v - u)^2 exp(-(u^2 + v^2)/2s) / (2 pi s^2) on u < v.  A value
+# took up to 11 s, so they are recorded, not recomputed.
+PAIR_CDF_ORACLE = [
+    (0.2, False, 0, -0.6, 0.32722333935998475),
+    (0.2, False, 0, 0.08, 0.94298651307332418),
+    (0.5, False, 0, -0.3, 0.72943212885952505),
+    (0.5, False, 0, 0.45, 0.99284511446665822),
+    (0.2, False, 1, -0.6, 0.00066745667656900708),
+    (0.2, False, 1, 0.08, 0.13732436700979069),
+    (0.5, False, 1, -0.3, 0.019008868375701904),
+    (0.5, False, 1, 0.45, 0.39955790993094348),
+    (0.2, True, 0, 0.24, 0.11859946554268825),
+    (0.2, True, 0, 0.96, 0.98769095470019486),
+    (0.5, True, 0, 0.5, 0.39702852257820903),
+    (0.5, True, 0, 0.9, 0.89212289383240955),
+    (0.2, True, 1, 0.24, 4.0062179524139866e-6),
+    (0.2, True, 1, 0.96, 0.27332799172142104),
+    (0.5, True, 1, 0.5, 0.00046756361938936955),
+    (0.5, True, 1, 0.9, 0.051921488618707685),
+]
 
 
 @pytest.mark.parametrize("t", [0.5, 0.2])
 @pytest.mark.parametrize("wall,branch", [(False, 0), (False, 1), (True, 0), (True, 1)])
-def test_pair_marginal_density_matches_mpmath(t, wall, branch):
-    # on the grid branch_marginal_cdf builds, at ten nodes spread over the
-    # bulk of the law (in units of sigma = sqrt(t(1-t)))
-    sigma = math.sqrt(t * (1.0 - t))
-    hi = 10.0 * sigma * math.sqrt(2)
-    xs = np.linspace(0.0 if wall else -hi, hi, 4097)
-    if wall:
-        targets = [0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0]
-    else:
-        targets = [-3.0, -2.0, -1.4, -0.8, -0.3, 0.2, 0.7, 1.3, 2.0, 3.0]
-    idx = np.searchsorted(xs, sigma * np.array(targets))
-    rho = stats_verify._pair_marginal_density(DensityParams(2, t, wall), xs, branch)
-    for i in idx:
-        assert rho[i] == pytest.approx(_pair_density_oracle(t, wall, branch, xs[i]), abs=1e-14)
-
-
-# sha256 of repr(shape) and the little-endian float64 CDF values at the
-# quadrature nodes: the mpmath test above checks the closed-form density's
-# accuracy, these pin its bytes.
-GOLDEN_PAIR_CDFS = {
-    (False, 0): "8f9e4165174612c5d6b5a761de4edd3d3a6e1bad6fd2a2b7525bf0886022b47f",
-    (False, 1): "4039f4345f59bd044b52822885c0abe2230aba435e49b18d0a86037e93ae7658",
-    (True, 0): "4c61a1d89da2d59b5cc50f8c6b4c198e6368282b3cfe2800248a57fafe5895ee",
-    (True, 1): "ddc464fb787ea9c22b5e558a326d2933b8c09b3e8b11ac144173a55e1fde6f68",
-}
-
-
-@pytest.mark.parametrize("wall,branch", sorted(GOLDEN_PAIR_CDFS))
-def test_pair_cdf_golden_bytes(monkeypatch, wall, branch):
-    t = 0.5
-    hi = 10.0 * math.sqrt(t * (1.0 - t)) * math.sqrt(2)
-    nodes = np.linspace(0.0 if wall else -hi, hi, 513)
-    monkeypatch.setitem(stats_verify._QUADRATURE_NODES, 2, 513)
-    # at a node the interpolation returns the table value itself
-    vals = np.ascontiguousarray(branch_marginal_cdf(2, t, wall, branch)(nodes), "<f8")
-    digest = hashlib.sha256(repr(vals.shape).encode() + vals.tobytes()).hexdigest()
-    assert digest == GOLDEN_PAIR_CDFS[(wall, branch)]
+def test_pair_cdf_matches_mpmath(t, wall, branch):
+    cases = [(x, want) for tt, w, b, x, want in PAIR_CDF_ORACLE if (tt, w, b) == (t, wall, branch)]
+    assert len(cases) == 2
+    cdf = branch_marginal_cdf(2, t, wall, branch)
+    for x, want in cases:
+        assert abs(cdf(x) - want) <= 1e-13
 
 
 def test_branch_marginal_cdf_validation():
-    with pytest.raises(ValueError, match="p in"):
+    with pytest.raises(ValueError, match="branch_marginal_cdf supports p in"):
         branch_marginal_cdf(3, 0.5, True, 0)
-    with pytest.raises(ValueError, match="branch"):
+    with pytest.raises(ValueError, match="branch out of range"):
         branch_marginal_cdf(2, 0.5, True, 2)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="t must lie in"):
+            branch_marginal_cdf(1, t, False, 0)
+
+
+def test_norm_gamma_oracle_fails_with_the_other_ensembles_dimension(monkeypatch):
+    # the record compares two closed forms; swapping the Bessel dimensions
+    # of the two ensembles must break it
+    assert stats_verify._check_norm_gamma_oracle(0)[0].passed
+    monkeypatch.setattr(stats_verify, "_bessel_dimension",
+                        lambda p, wall: p * p if wall else p * (2 * p + 1))
+    (record,) = stats_verify._check_norm_gamma_oracle(0)
+    assert not record.passed
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +679,7 @@ def test_source_caches_are_keyed_on_the_replica_count(monkeypatch):
 # sha256 of report_to_json for the default plan at 1/100 of its Monte Carlo
 # size (100 source replicas, 1,000 uniformity samples) at DEFAULT_BASE_SEED:
 # a change to any lattice, SDE, census or statistic byte moves it
-SCALED_PLAN_SHA256 = "12f2ebc409cedadb9f6efd2deaefaef6ffff27dc11c1edc885ef45a82fb508c7"
+SCALED_PLAN_SHA256 = "4250940ba07fd75a6ba3158703cc78b4729cab935afc34dd9bc029323d07ee3f"
 
 
 def test_default_plan_at_one_hundredth_keeps_its_bytes(monkeypatch):
