@@ -23,6 +23,7 @@ opposite assignment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,8 +157,8 @@ def _falling_mean(n: int, m: int, t: float) -> float:
 
     The exact coefficient has about 2m log2(n) bits, so a value whose
     lgamma estimate lies past 2^1025 raises OverflowError before it is
-    built.  A coefficient past double range whose power of t(1-t) brings
-    the value back is scaled exactly and rounded once.
+    built.  When the coefficient is past double range or (t(1-t))^m is
+    below the smallest normal double, the exact value is rounded once.
     """
     u = t * (1.0 - t)
     log2_value = (
@@ -166,10 +167,10 @@ def _falling_mean(n: int, m: int, t: float) -> float:
     if log2_value > 1025:
         raise OverflowError(f"the mean is about 2^{log2_value:.0f}, past double range")
     coeff = Fraction(math.perm(n, 2 * m), 2**m * math.factorial(m))
-    try:
-        return float(coeff) * u**m
-    except OverflowError:
+    um = u**m
+    if um < sys.float_info.min or coeff > sys.float_info.max:
         return float(coeff * Fraction(u) ** m)
+    return float(coeff) * um
 
 
 def sym_wall_expectation(p: int, k: int, t: float) -> float:

@@ -16,10 +16,11 @@ configured seed, both named by discrete_walk.derive_replica_rng: (seed, r, 0)
 drives the base-grid increments, (seed, r, 1) is touched only when a
 rejection forces redraws.  The initial state reads the spectral streams
 (seed, r).  Keeping the rescue draws out of the base stream makes results
-independent of chunking and lets the one-trajectory path reuse the batch
-machinery verbatim.  Every draw is a 53-bit integer read by
-discrete_walk.words, and Gaussians come from the inverse normal CDF applied
-to it, the same mapping the spectral samplers use.
+independent of chunking.  The one-trajectory path is a float kernel: it
+steps replica 0 in Python floats with the batch's operations in the batch's
+order, so it is bit-identical to replica 0.  Every draw is a 53-bit integer
+read by discrete_walk.words, and Gaussians come from the inverse normal CDF
+applied to it, the same mapping the spectral samplers use.
 """
 
 from __future__ import annotations
@@ -144,30 +145,27 @@ def _drift_rows(p: int, wall: bool, t: float, x: np.ndarray) -> np.ndarray:
     out = x / (t - 1.0)  # t - 1 is exactly -(1 - t), so this is -x/(1-t) bit for bit
     if wall:
         out += 1.0 / x
-    if p == 1:
-        return out
-    if wall:
-        num = 2.0 * x
-        sq = x * x
-    s = np.empty_like(x)
+    if p > 1:
+        out += _pair_sums(p, x, 2.0 * x, x * x) if wall else _pair_sums(p, x)
+    return out
+
+
+def _pair_sums(p: int, x, num=None, sq=None) -> list:
+    """[S_0, ..., S_{p-1}] of _drift_rows for p > 1; the wall's when num = 2x and sq = x*x.
+
+    x, num and sq each hold p rows of a block, or p floats.
+    """
+    s = [None] * p
     for i in range(p - 1):
         for j in range(i + 1, p):
-            if wall:
-                d = sq[i] - sq[j]
-                a = num[i] / d
-                c = num[j] / d
-            else:
+            if num is None:
                 a = c = 1.0 / (x[i] - x[j])
-            if j == 1:
-                s[0] = a
             else:
-                s[i] += a
-            if i == 0:
-                np.negative(c, out=s[j])
-            else:
-                s[j] -= c
-    out += s
-    return out
+                d = sq[i] - sq[j]
+                a, c = num[i] / d, num[j] / d
+            s[i] = a if j == 1 else s[i] + a
+            s[j] = -c if i == 0 else s[j] - c
+    return s
 
 
 def _margin_rows(p: int, wall: bool, y: np.ndarray):
@@ -184,22 +182,42 @@ def _margin_rows(p: int, wall: bool, y: np.ndarray):
     return m
 
 
-def _advance_scalar(
-    cfg: SdeConfig,
-    x: np.ndarray,
-    s: float,
-    h: float,
-    rng: np.random.Generator,
-    depth: int,
-) -> np.ndarray:
-    """One rescued step of size h from time s, splitting further on rejection."""
-    drift = _drift_rows(cfg.p, cfg.wall, s, x[:, None])[:, 0]
-    y = x + drift * h + math.sqrt(h) * words_to_normals(words(rng, cfg.p).astype(np.float64))
-    m = _margin_rows(cfg.p, cfg.wall, y[:, None])
-    if m is None or m[0] >= cfg.gap_floor:
-        return y
-    if depth >= cfg.max_halvings:
-        raise HalvingError(s, x, float(m[0]))
+def _drift_one(p: int, wall: bool, t: float, x: list) -> list:
+    """_drift_rows at one state, a list of p floats: the same operations in the same order."""
+    try:
+        out = [v / (t - 1.0) + 1.0 / v for v in x] if wall else [v / (t - 1.0) for v in x]
+        if p == 1:
+            return out
+        s = _pair_sums(p, x, [2.0 * v for v in x], [v * v for v in x]) if wall else _pair_sums(p, x)
+        return [o + v for o, v in zip(out, s)]
+    except ZeroDivisionError:
+        # a divisor of exactly 0, where numpy gives inf or nan
+        return _drift_rows(p, wall, t, np.array(x)[:, None])[:, 0].tolist()
+
+
+def _euler_one(p: int, wall: bool, t: float, h: float, x: list, inc) -> tuple:
+    """(x + drift*h) + inc for a list of p floats, and its margin, both as the batch takes them."""
+    y = [(a + d * h) + g for a, d, g in zip(x, _drift_one(p, wall, t, x), inc)]
+    m = None
+    for g in [b - a for a, b in zip(y, y[1:])] + (y[:1] if wall else []):
+        if m is None or not (m < g or m != m):  # np.minimum: NaN wins, a tie gives g
+            m = g
+    return y, m
+
+
+def _advance_scalar(cfg: SdeConfig, x: list, s: float, h: float, rng, depth: int) -> list:
+    """Step a list of p floats by h from time s, drawing from the rescue stream rng.
+
+    Depth 0 is a rejected base step, halved at once.  Deeper, a step whose
+    margin is below gap_floor or NaN is halved, down to max_halvings.
+    """
+    if depth > 0:
+        inc = (math.sqrt(h) * words_to_normals(words(rng, cfg.p).astype(np.float64))).tolist()
+        y, m = _euler_one(cfg.p, cfg.wall, s, h, x, inc)
+        if m is None or m >= cfg.gap_floor:
+            return y
+        if depth >= cfg.max_halvings:
+            raise HalvingError(s, x, m)
     mid = _advance_scalar(cfg, x, s, 0.5 * h, rng, depth + 1)
     return _advance_scalar(cfg, mid, s + 0.5 * h, 0.5 * h, rng, depth + 1)
 
@@ -279,6 +297,7 @@ def _initial_state(cfg: SdeConfig, replicas: int) -> np.ndarray:
 # replicas per chunk of a batch; results are chunk-invariant because every
 # replica owns its streams
 _CHUNK = 1024
+_BLOCK = 512  # base steps per draw of increments
 
 
 def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
@@ -293,7 +312,6 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
     n_rescued = 0
 
     x0 = _initial_state(cfg, replicas)
-    block = 512
     for lo in range(0, replicas, _CHUNK):
         hi = min(lo + _CHUNK, replicas)
         b = hi - lo
@@ -307,8 +325,8 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
             snaps[lo:hi, rec_slot[0]] = x.T
         rescues = [None] * b
         base = [derive_replica_rng(cfg.seed, r, 0) for r in range(lo, hi)]
-        for k0 in range(0, n_steps, block):
-            k1 = min(k0 + block, n_steps)
+        for k0 in range(0, n_steps, _BLOCK):
+            k1 = min(k0 + _BLOCK, n_steps)
             ts = times[k0:k1 + 1].tolist()
             # one draw per replica and block, turned into sqrt(h)-scaled
             # increments in one pass; g[:, k - k0] is the (p, b) increment
@@ -330,9 +348,7 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
                     for i in np.flatnonzero(m < floor):
                         if rescues[i] is None:
                             rescues[i] = derive_replica_rng(cfg.seed, lo + i, 1)
-                        half = 0.5 * h
-                        mid = _advance_scalar(cfg, x[:, i], t, half, rescues[i], 1)
-                        y[:, i] = _advance_scalar(cfg, mid, t + half, half, rescues[i], 1)
+                        y[:, i] = _advance_scalar(cfg, x[:, i].tolist(), t, h, rescues[i], 0)
                         n_rescued += 1
                 x = y
                 if k + 1 in rec_slot:
@@ -343,13 +359,31 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
 def simulate(config: SdeConfig) -> Trajectory:
     """Integrate one trajectory over the full base grid.
 
-    Identical to replica 0 of a batch with the same configuration: its
-    snapshot at every grid index.
+    Replica 0 of a batch with the same configuration, bit for bit, at every
+    grid index, stepped in Python floats: at one replica a numpy step is
+    mostly call overhead.
     """
     _check_trajectory_size(config)
     times = _grid(config)
-    snaps, _ = _integrate(config, 1, range(len(times)))
-    return Trajectory(times=times, values=snaps[0], wall=config.wall)
+    p, wall, floor = config.p, config.wall, config.gap_floor
+    x = _initial_state(config, 1)[0].tolist()
+    values = np.empty((len(times), p))
+    values[0] = x
+    base = derive_replica_rng(config.seed, 0, 0)
+    rescue = derive_replica_rng(config.seed, 0, 1)
+    for k0 in range(0, len(times) - 1, _BLOCK):
+        ts = times[k0:k0 + _BLOCK + 1].tolist()
+        g = words_to_normals(words(base, (len(ts) - 1) * p).astype(np.float64).reshape(-1, p))
+        g *= np.sqrt(np.diff(ts))[:, None]
+        rows = g.tolist()
+        for k, inc in enumerate(rows):
+            t, h = ts[k], ts[k + 1] - ts[k]
+            y, m = _euler_one(p, wall, t, h, x, inc)
+            if m is not None and m < floor:
+                y = _advance_scalar(config, x, t, h, rescue, 0)
+            rows[k] = x = y
+        values[k0 + 1:k0 + 1 + len(rows)] = rows
+    return Trajectory(times=times, values=values, wall=wall)
 
 
 def simulate_batch(

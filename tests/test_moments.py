@@ -206,6 +206,25 @@ def test_sym_coefficient_past_double_range_with_mean_inside(fn, p, k, t):
     assert value == pytest.approx(math.exp(log_mean), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "fn,p,k,t",
+    [(sym_wall_expectation, 10**6, 20, 1e-17), (sym_nowall_expectation, 10**6, 40, 1e-17),
+     (sym_wall_expectation, 10, 5, 1e-62), (sym_nowall_expectation, 12, 10, 1e-62)],
+    ids=["wall-p1e6", "nowall-p1e6", "wall-p10", "nowall-p12"],
+)
+def test_sym_mean_inside_double_range_with_underflowing_power(fn, p, k, t):
+    # (t(1-t))^m is 0 (the first two) or a subnormal that has lost bits (the
+    # last two, 1e-310) while the mean is a normal double: it is the exact
+    # rational rounded once, not a false 0 or a value wrong in its last digits
+    n, m = (2 * p + 1, k) if fn is sym_wall_expectation else (p, k // 2)
+    sign = 1 if fn is sym_wall_expectation else (-1) ** m
+    exact = sign * Fraction(math.perm(n, 2 * m), 2**m * math.factorial(m)) * Fraction(t * (1 - t)) ** m
+    assert (t * (1 - t)) ** m < 2.2250738585072014e-308
+    assert fn(p, k, t) == float(exact)
+    if (fn, p, k) == (sym_wall_expectation, 10**6, 20):
+        assert fn(p, k, t) == 4.308386004168166e-113
+
+
 def test_validation_rejections():
     with pytest.raises(ValueError, match="branch"):
         moment_wall_p2(3, 2, 0.5)

@@ -63,6 +63,59 @@ def test_drift_time_factor():
     assert delta == pytest.approx(expect, rel=1e-13)
 
 
+def bits(values):
+    """The float64 bytes of values, so -0.0 and 0.0 differ and NaN equals NaN."""
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+@pytest.mark.parametrize("wall", [False, True])
+def test_drift_one_is_drift_rows_bit_for_bit(p, wall):
+    # the float kernel's drift is the batch's, operation for operation, on
+    # random chamber states near and far from the boundary
+    rng = np.random.default_rng(100 + p)
+    for t in (0.02, 0.5, 0.98):
+        for scale in (1e-3, 1.0, 30.0):
+            for _ in range(10):
+                x = np.sort(scale * (rng.uniform(0.0, 3.0, p) if wall else rng.normal(0.0, 2.0, p)))
+                want = sde_sim._drift_rows(p, wall, t, x[:, None].copy())[:, 0]
+                assert bits(sde_sim._drift_one(p, wall, t, x.tolist())) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "p,wall,x",
+    [(2, True, [1e-170, 2e-170]),  # both squares underflow to 0
+     (2, False, [0.5, 0.5]), (3, False, [0.1, 0.2, 0.2]), (2, False, [0.0, 0.0]),
+     (2, True, [0.0, 1.0]), (2, True, [-0.0, 1.0]), (1, True, [0.0])],
+)
+def test_drift_one_zero_divisor_gives_numpys_inf_or_nan(p, wall, x):
+    # Python raises ZeroDivisionError where numpy divides by 0 to inf or nan
+    with np.errstate(all="ignore"):
+        want = sde_sim._drift_rows(p, wall, 0.5, np.array(x)[:, None])[:, 0]
+        assert bits(sde_sim._drift_one(p, wall, 0.5, x)) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [[0.1, 0.1001, np.nan], [np.nan, 0.1, 0.5], [0.1, np.nan, 0.5], [0.5, 0.1, 0.2],
+     [-0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [np.inf, np.inf, np.inf], [-np.inf, 1.0, 2.0]],
+)
+@pytest.mark.parametrize("wall", [False, True])
+def test_float_margin_is_margin_rows(monkeypatch, y, wall):
+    # np.minimum lets NaN win wherever it stands and gives the later term on
+    # a tie; Python's min would hide min(0.5, nan) and flip a step's verdict.
+    # With the drift -0.0 and the increment -0.0 the step returns y as is.
+    monkeypatch.setattr(sde_sim, "_drift_one", lambda p, wall, t, x: [-0.0] * p)
+    for p in range(1, len(y) + 1):
+        got_y, got = sde_sim._euler_one(p, wall, 0.5, 1.0, y[:p], [-0.0] * p)
+        assert bits(got_y) == bits(y[:p])
+        with np.errstate(all="ignore"):
+            want = sde_sim._margin_rows(p, wall, np.array(y[:p])[:, None])
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert bits([got]) == bits(want)
+
+
 # ---------------------------------------------------------------------------
 # config and trajectory invariants
 
@@ -125,6 +178,44 @@ def test_simulate_equals_batch_row_zero():
     for j, t in enumerate(record):
         i = int(np.argmin(np.abs(traj.times - t)))
         assert np.array_equal(traj.values[i], snaps[0, j])
+
+
+@pytest.mark.parametrize(
+    "p,wall,seed",
+    [(1, False, 0), (1, True, 3), (2, False, 0), (2, True, 0), (3, False, 0), (3, True, 0)],
+)
+def test_simulate_is_batch_replica_zero_at_every_grid_index(p, wall, seed):
+    # on a coarse grid with a wide floor replica 0 of these seeds rescues
+    # steps, so the float kernel's rescue path is compared too; p = 1
+    # without a wall has nothing to break
+    cfg = SdeConfig(p=p, wall=wall, dt=2e-3, gap_floor=5e-2, seed=seed)
+    traj = simulate(cfg)
+    snaps = simulate_batch(cfg, 3, traj.times)
+    assert bits(traj.values) == bits(snaps[0])
+    _, diag = simulate_batch(cfg, 1, traj.times[-1:], with_diagnostics=True)
+    assert diag["rescued_steps"] > 0 or (p, wall) == (1, False)
+
+
+@pytest.mark.parametrize(
+    "p,wall,start,floor",
+    [(2, False, [0.3, 0.3], 1e-3), (2, True, [1e-170, 2e-170], 1e-300),
+     (2, True, [0.0, 0.5], 1e-3), (3, False, [0.1, 0.2, np.inf], 5.0)],
+)
+def test_simulate_from_degenerate_start_fails_as_the_batch(monkeypatch, p, wall, start, floor):
+    # from a start on or outside the chamber's boundary the batch either
+    # exhausts its halvings or carries inf or nan to the end; the float
+    # kernel raises HalvingError or ValueError (non-finite values) alike
+    monkeypatch.setattr(sde_sim, "_initial_state", lambda cfg, replicas: np.array([start]))
+    cfg = SdeConfig(p=p, wall=wall, dt=0.01, gap_floor=floor, max_halvings=8)
+    times = sde_sim._grid(cfg)
+    with np.errstate(all="ignore"):
+        try:
+            assert not np.isfinite(simulate_batch(cfg, 1, times)).all()
+            want = ValueError
+        except HalvingError:
+            want = HalvingError
+        with pytest.raises(want):
+            simulate(cfg)
 
 
 def test_batch_chunk_invariance(monkeypatch):
@@ -310,11 +401,13 @@ class IntegrationReached(Exception):
 
 @pytest.fixture
 def no_integration(monkeypatch):
-    # a size check that passes reaches _integrate, which then raises
+    # a size check that passes reaches the first costly call, which then
+    # raises: _integrate for a batch, _initial_state for one trajectory
     def integrate(*args, **kwargs):
         raise IntegrationReached
 
     monkeypatch.setattr(sde_sim, "_integrate", integrate)
+    monkeypatch.setattr(sde_sim, "_initial_state", integrate)
 
 
 def test_simulate_size_cap_comes_before_integration(no_integration):
