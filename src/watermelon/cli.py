@@ -9,7 +9,8 @@ verification verdict or simulation fails, 2 on usage errors.
 
 Each handler imports the layers it runs, so a cold `count`, `moments`,
 `render` or `verify --from-file` loads neither numpy nor scipy, and
-`sample` or `density` no scipy; only `count` imports decimal.
+`sample`, `density` or `simulate` without `--summary-out` no scipy; only
+`count` imports decimal.  The rest of `simulate` and `verify` load both.
 
 The console script and `python -m watermelon.cli` run through
 `entrypoint`, which runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS

@@ -16,11 +16,13 @@ configured seed, both named by discrete_walk.derive_replica_rng: (seed, r, 0)
 drives the base-grid increments, (seed, r, 1) is touched only when a
 rejection forces redraws.  The initial state reads the spectral streams
 (seed, r).  Keeping the rescue draws out of the base stream makes results
-independent of chunking.  The one-trajectory path is a float kernel: it
-steps replica 0 in Python floats with the batch's operations in the batch's
-order, so it is bit-identical to replica 0.  Every draw is a 53-bit integer
-read by discrete_walk.words, and Gaussians come from the inverse normal CDF
-applied to it, the same mapping the spectral samplers use.
+independent of chunking.  Every draw is a 53-bit integer read by
+discrete_walk.words, and Gaussians come from the inverse normal CDF applied
+to it, the same mapping the spectral samplers use.  The one-trajectory path
+is a float kernel: it steps replica 0 in Python floats with the batch's
+operations in the batch's order, and maps its draws with the float twin of
+scipy's ndtri (spectral_laws._word_to_normal), as do rescued steps, so it
+is bit-identical to replica 0 and never loads scipy.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .discrete_walk import _MAX_VALUES, derive_replica_rng, words
 from .spectral_laws import (
     _check_draw_size,
+    _word_to_normal,
     sample_gue_spectrum_batch,
     sample_wall_spectrum_batch,
     words_to_normals,
@@ -212,7 +215,7 @@ def _advance_scalar(cfg: SdeConfig, x: list, s: float, h: float, rng, depth: int
     margin is below gap_floor or NaN is halved, down to max_halvings.
     """
     if depth > 0:
-        inc = (math.sqrt(h) * words_to_normals(words(rng, cfg.p).astype(np.float64))).tolist()
+        inc = [math.sqrt(h) * _word_to_normal(w) for w in words(rng, cfg.p).tolist()]
         y, m = _euler_one(cfg.p, cfg.wall, s, h, x, inc)
         if m is None or m >= cfg.gap_floor:
             return y
@@ -344,8 +347,9 @@ def _integrate(cfg: SdeConfig, replicas: int, rec_indices):
                 y += x
                 y += g[:, k - k0]
                 m = _margin_rows(p, wall, y)
-                if m is not None and (m < floor).any():
-                    for i in np.flatnonzero(m < floor):
+                # a NaN margin is rejected too, as a rescued step rejects it
+                if m is not None and not (m >= floor).all():
+                    for i in np.flatnonzero(~(m >= floor)):
                         if rescues[i] is None:
                             rescues[i] = derive_replica_rng(cfg.seed, lo + i, 1)
                         y[:, i] = _advance_scalar(cfg, x[:, i].tolist(), t, h, rescues[i], 0)
@@ -373,13 +377,13 @@ def simulate(config: SdeConfig) -> Trajectory:
     rescue = derive_replica_rng(config.seed, 0, 1)
     for k0 in range(0, len(times) - 1, _BLOCK):
         ts = times[k0:k0 + _BLOCK + 1].tolist()
-        g = words_to_normals(words(base, (len(ts) - 1) * p).astype(np.float64).reshape(-1, p))
-        g *= np.sqrt(np.diff(ts))[:, None]
-        rows = g.tolist()
-        for k, inc in enumerate(rows):
+        z = [_word_to_normal(w) for w in words(base, (len(ts) - 1) * p).tolist()]
+        rows = [None] * (len(ts) - 1)
+        for k in range(len(rows)):
             t, h = ts[k], ts[k + 1] - ts[k]
-            y, m = _euler_one(p, wall, t, h, x, inc)
-            if m is not None and m < floor:
+            r = math.sqrt(h)
+            y, m = _euler_one(p, wall, t, h, x, [r * v for v in z[k * p:k * p + p]])
+            if m is not None and not (m >= floor):
                 y = _advance_scalar(config, x, t, h, rescue, 0)
             rows[k] = x = y
         values[k0 + 1:k0 + 1 + len(rows)] = rows

@@ -32,7 +32,11 @@ matrix) and the GUE spectrum for the free case.  Sampling is exact:
 
 Gaussians are drawn by inverse CDF: one 53-bit integer u per variate
 from the replica stream (discrete_walk.replica_words), mapped through
-ndtri((u + 0.5) / 2^53).
+ndtri((u + 0.5) / 2^53): scipy's on arrays for batches
+(words_to_normals), and its Python-float twin _word_to_normal, bit for bit
+the same, for one replica and the lone SDE trajectory, which so never load
+scipy.  Both keep the map's edges: u + 0.5 rounds to even for u >= 2^52,
+and u = 2^53 - 1 maps to +inf, with probability 2^-53 per draw.
 
 Eigenvalues of each stack of sampled matrices come from
 numpy.linalg.eigvalsh, ascending.
@@ -144,13 +148,65 @@ def density(params, x):
 
 def words_to_normals(u):
     """Standard normals ndtri((u + 0.5) / 2^53) from 53-bit integers held as floats, in place."""
-    # imported here, the one scipy call of this module, so the density
-    # and sampling commands never load scipy
+    # imported here, the one scipy call of this module, so that density,
+    # one-replica draws and a lone trajectory (_word_to_normal) never load scipy
     from scipy.special import ndtri
 
     u += 0.5
     u /= _U_DEN
     return ndtri(u, out=u)
+
+
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the algorithm of scipy.special.ndtri: a rational function of
+# (y - 1/2)^2 on the centre, written out in _word_to_normal, and (P, Q) of
+# 1/x, x = sqrt(-2 log y), on the tails, for x < 8 and from 8 on; each Q
+# has an implicit leading 1.
+_NDTRI_TAILS = (
+    ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+      4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+      -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+     (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+      1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+      -3.80806407691578277194e-2, -9.33259480895457427372e-4)),
+    ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+      1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+      3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+     (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+      2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+      2.89247864745380683936e-6, 6.79019408009981274425e-9)),
+)
+_EXP_M2 = 0.13533528323661269189
+
+
+def _word_to_normal(w):
+    """ndtri((w + 0.5) / 2^53) in Python floats: Cephes' operations in its order, with libm's log."""
+    y = (w + 0.5) / _U_DEN
+    if y == 1.0:
+        return math.inf
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        s = y * y
+        a = (((-5.99633501014107895267e1 * s + 9.80010754185999661536e1) * s
+              - 5.66762857469070293439e1) * s + 1.39312609387279679503e1) * s - 1.23916583867381258016e0
+        b = (((((((s + 1.95448858338141759834e0) * s + 4.67627912898881538453e0) * s
+                 + 8.63602421390890590575e1) * s - 2.25462687854119370527e2) * s
+               + 2.00260212380060660359e2) * s - 8.20372256168333339912e1) * s
+             + 1.59056225126211695515e1) * s - 1.18331621121330003142e0
+        return (y + y * (s * a / b)) * 2.50662827463100050242e0  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = _NDTRI_TAILS[x >= 8.0]
+    a, b = p[0], z + q[0]
+    for c in p[1:]:
+        a = a * z + c
+    for c in q[1:]:
+        b = b * z + c
+    x = (x - math.log(x) / x) - z * a / b
+    return x if upper else -x
 
 
 def _check_draw_size(p, wall, replicas):
@@ -164,7 +220,12 @@ def _check_draw_size(p, wall, replicas):
 
 
 def _replica_normals(base_seed, replicas, count):
-    """(replicas, count) standard normals, one private stream per replica."""
+    """(replicas, count) standard normals, one private stream per replica.
+
+    One replica: the float map.
+    """
+    if replicas == 1:
+        return np.array([[_word_to_normal(w) for w in replica_words(base_seed, 0, count).tolist()]])
     u = np.empty((replicas, count))
     for r in range(replicas):
         u[r] = replica_words(base_seed, r, count)

@@ -597,18 +597,21 @@ finally:
          {"scipy", "decimal"}, None),
         (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy", "decimal"}, None),
         (["density", "--p", "1", "--t", "0.5", "--x", "0"], "0.797", {"scipy", "decimal"}, "2"),
+        (["simulate", "--p", "2", "--wall", "--dt", "1e-3", "--seed", "7", "--out", "{traj}"], "",
+         {"scipy", "decimal"}, None),
         (["render", "{path}", "--wall"], "<svg", {"numpy", "scipy", "decimal"}, None),
         (["verify", "--from-file", "{path}", "--wall"], '{\n  "schema": ',
          {"numpy", "scipy", "decimal"}, None),
     ],
-    ids=["count", "moments", "sample", "density", "density-blas-2", "render", "verify-from-file"],
+    ids=["count", "moments", "sample", "density", "density-blas-2", "simulate", "render",
+         "verify-from-file"],
 )
 def test_console_entrypoint_subprocess(tmp_path, capsys, argv, expect, unloaded, preset):
     # each subcommand imports only the layers it runs, and OpenBLAS runs on
     # one thread unless the caller chose otherwise
     path_file = tmp_path / "melon.csv"
     run_cli(capsys, "sample", "--p", "2", "--n", "3", "--wall", "--out", str(path_file))
-    argv = [a.format(path=path_file) for a in argv]
+    argv = [a.format(path=path_file, traj=tmp_path / "traj.csv") for a in argv]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset

@@ -218,6 +218,23 @@ def test_simulate_from_degenerate_start_fails_as_the_batch(monkeypatch, p, wall,
             simulate(cfg)
 
 
+@pytest.mark.parametrize("run", ["batch", "simulate"])
+def test_nonfinite_state_exhausts_the_halvings(monkeypatch, run):
+    # inf - inf makes the first proposed state NaN: its NaN margin is
+    # rejected like a margin below the floor, in base steps as in rescues
+    monkeypatch.setattr(sde_sim, "_initial_state",
+                        lambda cfg, replicas: np.array([[0.1, 0.2, np.inf]] * replicas))
+    cfg = SdeConfig(p=3, wall=False, dt=0.01)
+    with np.errstate(all="ignore"), pytest.raises(HalvingError) as err:
+        if run == "batch":
+            simulate_batch(cfg, 2, sde_sim._grid(cfg))
+        else:
+            simulate(cfg)
+    assert err.value.time == cfg.t0
+    assert err.value.position.tolist() == [0.1, 0.2, np.inf]
+    assert "t=0.02" in str(err.value)
+
+
 def test_batch_chunk_invariance(monkeypatch):
     cfg = _quick_config(seed=77)
     monkeypatch.setattr(sde_sim, "_CHUNK", 1)

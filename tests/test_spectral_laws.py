@@ -8,6 +8,7 @@ from watermelon import spectral_laws
 from watermelon.spectral_laws import (
     DensityParams,
     _replica_normals,
+    _word_to_normal,
     density,
     evaluate_density_grid,
     nowall_density_constant,
@@ -139,6 +140,34 @@ def test_density_params_validation():
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def test_float_normal_map_is_scipys_ndtri_bit_for_bit():
+    # the Python-float Cephes ndtri against scipy's on a seeded stream, the
+    # map's edges, both sides of every branch test and the extreme words
+    from scipy.special import ndtri
+
+    top = 2 ** 53
+    rng = np.random.Generator(np.random.PCG64(2023))
+    words = [rng.bit_generator.random_raw(1_000_000) >> 11]
+    words.append(np.array([0, 1, 2 ** 52 - 1, 2 ** 52, top - 2, top - 1], dtype=np.uint64))
+    for y in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):
+        centre = int(y * top)
+        words.append(np.arange(centre - 50, centre + 51, dtype=np.uint64))
+    words.append(np.arange(0, 10 ** 5, dtype=np.uint64))
+    words.append(np.arange(top - 10 ** 5, top, dtype=np.uint64))
+    u = np.concatenate(words)
+    want = ndtri((u.astype(np.float64) + 0.5) / top)
+    got = np.array([_word_to_normal(w) for w in u.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert _word_to_normal(top - 1) == math.inf
+
+
+def test_one_replica_normals_are_row_zero_of_a_batch():
+    # one replica takes the float map, a batch scipy's; the values agree
+    one = _replica_normals(31, 1, 500)
+    assert one.shape == (1, 500)
+    assert one.tobytes() == _replica_normals(31, 3, 500)[:1].tobytes()
 
 
 @pytest.mark.parametrize("wall", [True, False])
