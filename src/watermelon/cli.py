@@ -151,24 +151,15 @@ def _cmd_simulate(args):
     from .sde_sim import (
         SdeConfig,
         _batch_record_indices,
-        _check_trajectory_size,
         simulate,
         summarize_batch,
         trajectory_to_csv,
     )
 
-    cfg = SdeConfig(
-        p=args.p,
-        wall=args.wall,
-        t0=args.t0,
-        dt=args.dt,
-        gap_floor=args.gap_floor,
-        max_halvings=args.max_halvings,
-        seed=_env_seed(args.seed, 0),
-    )
+    given = {k: getattr(args, k) for k in ("t0", "dt", "gap_floor", "max_halvings") if k in args}
+    cfg = SdeConfig(p=args.p, wall=args.wall, seed=_env_seed(args.seed, 0), **given)
     # usage errors first: nothing is integrated or written before these
-    # pass, and no grid is built for a dt too small to hold one
-    _check_trajectory_size(cfg)
+    # pass, and simulate refuses a trajectory too large before it builds one
     if args.summary_out is not None:
         if args.replicas < 2:
             raise ValueError(f"--summary-out needs --replicas >= 2, got {args.replicas}")
@@ -194,25 +185,27 @@ def _cmd_density(args):
 
 
 def _cmd_moments(args):
-    from .moments import MomentQuery, evaluate_moment, first_moments_table
+    from . import moments
 
     if not args.table and args.order is None:
         raise ValueError("moments needs --table, --order, or both")
+    if args.order is not None and (args.branch is None) == (args.p is None):
+        raise ValueError("moments --order needs exactly one of --branch (p = 2) or --p (symmetric)")
     out = {}
     if args.table:
-        out["normalized_table"] = first_moments_table()
+        out["normalized_table"] = moments.first_moments_table()
     if args.order is not None:
-        query = MomentQuery(
-            wall=args.wall, order=args.order, t=args.t, branch=args.branch, p=args.p
-        )
         out["wall"] = args.wall
         out["order"] = args.order
         out["t"] = args.t
         if args.branch is not None:
             out["branch"] = args.branch
+            fn = moments.moment_wall_p2 if args.wall else moments.moment_nowall_p2
+            out["value"] = fn(args.branch, args.order, args.t)
         else:
             out["p"] = args.p
-        out["value"] = evaluate_moment(query)
+            fn = moments.sym_wall_expectation if args.wall else moments.sym_nowall_expectation
+            out["value"] = fn(args.p, args.order, args.t)
     print(format_json(out))
     return 0
 
@@ -352,10 +345,11 @@ def _build_parser():
     m = sub.add_parser("simulate", help="integrate the limiting interacting SDE")
     m.add_argument("--p", type=int, required=True)
     m.add_argument("--wall", action="store_true")
-    m.add_argument("--t0", type=float, default=0.02)
-    m.add_argument("--dt", type=float, default=1e-4)
-    m.add_argument("--gap-floor", type=float, default=1e-3, dest="gap_floor")
-    m.add_argument("--max-halvings", type=int, default=40, dest="max_halvings")
+    # defaults from SdeConfig: a flag left out is absent from args
+    m.add_argument("--t0", type=float, default=argparse.SUPPRESS)
+    m.add_argument("--dt", type=float, default=argparse.SUPPRESS)
+    m.add_argument("--gap-floor", type=float, default=argparse.SUPPRESS, dest="gap_floor")
+    m.add_argument("--max-halvings", type=int, default=argparse.SUPPRESS, dest="max_halvings")
     m.add_argument("--seed", type=int)
     m.add_argument("--out", help="trajectory CSV destination (default stdout)")
     m.add_argument("--summary-out", dest="summary_out", help="also write a moment summary JSON")

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "MomentQuery",
-    "evaluate_moment",
     "first_moments_table",
     "moment_nowall_p2",
     "moment_wall_p2",
@@ -49,6 +46,14 @@ def _check_branch_order(branch: int, order: int) -> None:
         raise ValueError(f"branch must be 1 (lower) or 2 (upper), got {branch}")
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
+
+
+def _check_sym_args(p: int, k: int, t: float) -> None:
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if not 1 <= k <= p:
+        raise ValueError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
+    _check_time(t)
 
 
 def _central_binomial(j: int) -> int:
@@ -183,11 +188,7 @@ def sym_wall_expectation(p: int, k: int, t: float) -> float:
     Its numerator is the product of the top 2k factors of (2p+1)!, so the
     cost grows with k, not with p.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if not 1 <= k <= p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
-    _check_time(t)
+    _check_sym_args(p, k, t)
     return _falling_mean(2 * p + 1, k, t)
 
 
@@ -197,11 +198,7 @@ def sym_nowall_expectation(p: int, k: int, t: float) -> float:
     Odd k vanishes by the symmetry of the ensemble under sign flip; even
     k = 2m gives (-1)^m p! / ((p-2m)! 2^m m!) * (t(1-t))^m.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if not 1 <= k <= p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
-    _check_time(t)
+    _check_sym_args(p, k, t)
     if k % 2 == 1:
         return 0.0
     m = k // 2
@@ -240,40 +237,3 @@ def first_moments_table() -> list[dict[str, object]]:
             }
         )
     return rows
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """A single closed-form moment request.
-
-    Per-branch moments exist only for two branches (branch in {1, 2}, p
-    implied); symmetric-polynomial means take a branch count p and no branch.
-    Exactly one of the two shapes must be used.
-    """
-
-    wall: bool
-    order: int
-    t: float
-    branch: int | None = None
-    p: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order}")
-        _check_time(self.t)
-        if (self.branch is None) == (self.p is None):
-            raise ValueError("exactly one of branch (p=2 moment) or p (symmetric) is required")
-        if self.branch is not None and self.branch not in (1, 2):
-            raise ValueError(f"branch must be 1 or 2, got {self.branch}")
-        if self.p is not None and not 1 <= self.order <= self.p:
-            raise ValueError(f"symmetric order must satisfy 1 <= order <= p = {self.p}")
-
-
-def evaluate_moment(query: MomentQuery) -> float:
-    """Dispatch a MomentQuery to the matching closed form."""
-    if query.branch is not None:
-        fn = moment_wall_p2 if query.wall else moment_nowall_p2
-        return fn(query.branch, query.order, query.t)
-    assert query.p is not None
-    fn2 = sym_wall_expectation if query.wall else sym_nowall_expectation
-    return fn2(query.p, query.order, query.t)

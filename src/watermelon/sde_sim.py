@@ -239,12 +239,6 @@ def _steps(cfg: SdeConfig) -> int:
     return max(1, int(math.ceil(steps)))
 
 
-def _check_trajectory_size(cfg: SdeConfig) -> None:
-    """ValueError when one full trajectory would hold over 4,000,000 values."""
-    if (_steps(cfg) + 1) * cfg.p > 4_000_000:
-        raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
-
-
 def _grid(cfg: SdeConfig) -> np.ndarray:
     n_steps = _steps(cfg)
     times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
@@ -365,9 +359,11 @@ def simulate(config: SdeConfig) -> Trajectory:
 
     Replica 0 of a batch with the same configuration, bit for bit, at every
     grid index, stepped in Python floats: at one replica a numpy step is
-    mostly call overhead.
+    mostly call overhead.  ValueError, before any array exists, when the
+    trajectory would hold over 4,000,000 values.
     """
-    _check_trajectory_size(config)
+    if (_steps(config) + 1) * config.p > 4_000_000:
+        raise ValueError("a full trajectory on this grid would be too large; use a larger dt")
     times = _grid(config)
     p, wall, floor = config.p, config.wall, config.gap_floor
     x = _initial_state(config, 1)[0].tolist()

@@ -42,9 +42,9 @@ from .exact_count import (
     watermelon_start,
 )
 from .moments import (
-    MomentQuery,
-    evaluate_moment,
     first_moments_table,
+    moment_nowall_p2,
+    moment_wall_p2,
     sym_nowall_expectation,
     sym_wall_expectation,
 )
@@ -563,15 +563,13 @@ def _check_moment_table(base_seed):
 def _check_moment_mc(base_seed, *, source: ("discrete_walk", "sde_sim"), wall: _WALL):
     kind = "discrete" if source == "discrete_walk" else "sde"
     vals, seed = _read(kind, 2, wall, base_seed, 0.5)
+    closed = moment_wall_p2 if wall else moment_nowall_p2
     worst = 0.0
     for branch in (1, 2):
         col = vals[:, branch - 1]
         for order in range(1, 5):
             mean, se = empirical_moment(col, order)
-            want = evaluate_moment(
-                MomentQuery(wall=wall, order=order, t=0.5, branch=branch)
-            )
-            worst = max(worst, abs(mean - want) / se)
+            worst = max(worst, abs(mean - closed(branch, order, 0.5)) / se)
     return [
         _record(
             f"moment_mc/{kind}/{_wall_tag(wall)}",
@@ -796,10 +794,10 @@ _CHECKS = {
     "stirling_error_decay": _check_stirling_error_decay,
 }
 
-# Items sharing a simulation source sit next to each other: a parallel
-# run hands each run of such items to one worker, so every source is
-# computed once.  Record names, seeds, and therefore report bytes do not
-# depend on this ordering.
+# Items sharing p and wall, and so a sample source, sit next to each
+# other: a parallel run hands each run of such items to one worker, so
+# every source is computed once.  Record names, seeds, and therefore
+# report bytes do not depend on this ordering.
 DEFAULT_PLAN = (
     # diffusion p = 2 with wall (plus its halved-step twin)
     {"check": "sde_step_halving", "params": {"p": 2, "wall": True}},
@@ -859,8 +857,12 @@ def _bind_plan_item(item, base_seed):
     params, an unknown, misspelled or missing parameter, or a value outside
     the domain its parameter's annotation declares.  A value must have the
     type of the domain's members, so true is not an integer and 2.0 is not 2.
+    ValueError, naming the item, for one that is not an object holding a
+    string check.
     """
-    check = item["check"]
+    check = item.get("check") if isinstance(item, dict) else None
+    if not isinstance(check, str):
+        raise ValueError(f"a plan item must be an object with a string check, got {item!r}")
     fn = _CHECKS.get(check)
     if fn is None:
         raise ValueError(f"unknown check {check!r}; known: {sorted(_CHECKS)}")
@@ -890,37 +892,25 @@ def _run_plan_item(item, base_seed):
     return fn(base_seed, **params)
 
 
-# the source kind each check with a p parameter reads
-_SOURCE_KINDS = {
-    "norm_law_sde": "sde", "sde_invariants": "sde", "sde_step_halving": "sde",
-    "sde_time_symmetry": "sde", "marginal_ks": "discrete", "norm_law_discrete": "discrete",
-    "symmetric_poly_mc": "discrete",
-}
-
-
-def _source_of(item):
-    """The (kind, p, wall) of the _source a plan item reads, or None.
-
-    sde_step_halving reads the "sde_twin" of its "sde" source too.
-    """
-    check, params = item.get("check"), item.get("params", {})
-    if check == "moment_mc":
-        kind = "sde" if params.get("source") == "sde_sim" else "discrete"
-        return (kind, 2, params.get("wall"))
-    if check in _SOURCE_KINDS:
-        return (_SOURCE_KINDS[check], params.get("p"), params.get("wall"))
-    return None
-
-
 def _source_groups(items):
-    """Split a plan into runs of consecutive items that read the same source."""
+    """Split a bound plan into runs of consecutive items with one (p, wall).
+
+    A check with a wall parameter reads only the sources of its p and wall
+    (moment_mc those of p = 2), so items that share a source share this
+    key; an item without wall reads none and runs alone.  The key does not
+    tell a lattice source from an SDE one: a run may join two sources,
+    which costs parallelism but never computes a source twice.
+    """
     groups = []
+    last = None
     for item in items:
-        key = _source_of(item)
-        if key is not None and groups and _source_of(groups[-1][-1]) == key:
+        params = item.get("params", {})
+        key = (params.get("p", 2), params["wall"]) if "wall" in params else None
+        if key is not None and key == last:
             groups[-1].append(item)
         else:
             groups.append([item])
+        last = key
     return groups
 
 

@@ -6,6 +6,7 @@ plus one real subprocess test for the console entry point.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from watermelon.cli import BRANCH_COLORS, RenderSpec, main
 from watermelon.discrete_walk import read_path_csv
 from watermelon.exact_count import StarQuery, count_stars, count_watermelons
 from watermelon.moments import moment_wall_p2, normalized_table_entry
-from watermelon.sde_sim import read_trajectory_csv
+from watermelon.sde_sim import SdeConfig, read_trajectory_csv, simulate, trajectory_to_csv
 from watermelon.spectral_laws import DensityParams, density
 from watermelon.stats_verify import format_json
 
@@ -237,6 +238,14 @@ def test_simulate_halving_failure_exits_one(capsys):
     assert "failed" in err
 
 
+def test_simulate_defaults_are_those_of_sde_config(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--p", "2", "--wall", "--seed", "3")
+    assert code == 0
+    want = io.StringIO(newline="")
+    trajectory_to_csv(simulate(SdeConfig(p=2, wall=True, seed=3)), want)
+    assert out == want.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -314,9 +323,20 @@ def test_moments_table_with_query(capsys):
 
 
 def test_moments_usage_errors(capsys):
-    assert run_cli(capsys, "moments")[0] == 2  # no --table, no --order
-    assert run_cli(capsys, "moments", "--order", "2")[0] == 2  # no branch/p
-    assert run_cli(capsys, "moments", "--order", "9", "--p", "2")[0] == 2
+    exactly_one = "exactly one of --branch (p = 2) or --p (symmetric)"
+    for argv, message in [
+        ([], "needs --table, --order, or both"),
+        (["--order", "2"], exactly_one),
+        (["--order", "2", "--branch", "1", "--p", "2"], exactly_one),
+        (["--table", "--order", "2"], exactly_one),
+        # the closed forms' own refusals
+        (["--order", "9", "--p", "2"], "k must satisfy 1 <= k <= p = 2, got 9"),
+        (["--order", "2", "--branch", "3"], "branch must be 1 (lower) or 2 (upper), got 3"),
+        (["--order", "2", "--branch", "1", "--t", "1.5"], "t must lie strictly inside (0, 1)"),
+    ]:
+        code, out, err = run_cli(capsys, "moments", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and message in err, argv
 
 
 def test_moments_order_26_keeps_its_bytes(capsys):

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from watermelon.moments import (
-    MomentQuery,
     _wall_even_normalized,
     _wall_odd_normalized,
-    evaluate_moment,
     first_moments_table,
     moment_nowall_p2,
     moment_wall_p2,
@@ -266,19 +264,6 @@ def test_lower_wall_branch_holds_its_error_bound_or_refuses():
             moment_wall_p2(branch, 296, t)
     # the upper branch does not cancel
     assert moment_wall_p2(2, 295, t) > 0.0
-
-
-def test_query_dispatch():
-    q = MomentQuery(wall=True, order=2, t=0.5, branch=2)
-    assert evaluate_moment(q) == moment_wall_p2(2, 2, 0.5)
-    q2 = MomentQuery(wall=False, order=2, t=0.5, p=3)
-    assert evaluate_moment(q2) == sym_nowall_expectation(3, 2, 0.5)
-    with pytest.raises(ValueError, match="exactly one"):
-        MomentQuery(wall=True, order=2, t=0.5)
-    with pytest.raises(ValueError, match="exactly one"):
-        MomentQuery(wall=True, order=2, t=0.5, branch=1, p=2)
-    with pytest.raises(ValueError, match="order <= p"):
-        MomentQuery(wall=False, order=4, t=0.5, p=2)
 
 
 @settings(deadline=None, max_examples=12)

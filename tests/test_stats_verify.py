@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from watermelon import stats_verify
@@ -477,6 +478,15 @@ def test_run_suite_rejects_a_malformed_item(item, monkeypatch):
         run_suite(plan=[lead, item])
 
 
+@pytest.mark.parametrize("item", [1, "marginal_ks", {}, {"check": ["x"]}])
+def test_run_suite_rejects_an_item_without_a_string_check(item):
+    with pytest.raises(ValueError) as info:
+        run_suite(plan=[{"check": "moment_table"}, item])
+    assert str(info.value) == (
+        f"a plan item must be an object with a string check, got {item!r}"
+    )
+
+
 def test_malformed_item_names_the_parameters_of_its_check():
     with pytest.raises(ValueError, match=r"'replicas' \(parameters: p, wall\)"):
         run_suite(plan=[{"check": "marginal_ks", "params": {"p": 1, "wall": False, "replicas": 5}}])
@@ -569,22 +579,42 @@ def test_run_suite_empty_plan_passes_vacuously():
     assert report.verdict is True
 
 
+def _group_key(item):
+    params = item.get("params", {})
+    return (params.get("p", 2), params["wall"]) if "wall" in params else None
+
+
 def test_source_groups_of_default_plan():
     groups = stats_verify._source_groups(stats_verify.DEFAULT_PLAN)
-    # plan order is kept, and every source is read by exactly one group
     assert [item for g in groups for item in g] == list(stats_verify.DEFAULT_PLAN)
-    keys = [stats_verify._source_of(g[0]) for g in groups]
-    sourced = [k for k in keys if k is not None]
-    assert len(sourced) == len(set(sourced)) == 10
-    for g, key in zip(groups, keys):
-        assert all(stats_verify._source_of(item) == key for item in g)
-        assert key is not None or len(g) == 1
+    # the sde runs, then the lattice runs, both by p and wall; then the
+    # closed-form checks, one to a group
+    assert [len(g) for g in groups] == [5, 3, 2, 2, 1, 1, 4, 4, 3, 3, 1, 1, 1, 1, 1]
+    assert [_group_key(g[0]) for g in groups] == [
+        (2, True), (2, False), (1, True), (1, False), (3, True), (3, False),
+        (2, True), (2, False), (1, True), (1, False), None, None, None, None, None,
+    ]
+
+
+@settings(deadline=None, max_examples=200)
+@given(order=st.lists(st.integers(0, len(stats_verify.DEFAULT_PLAN) - 1), unique=True))
+def test_source_groups_of_any_sub_plan(order):
+    plan = [stats_verify.DEFAULT_PLAN[i] for i in order]
+    groups = stats_verify._source_groups(plan)
+    assert [item for g in groups for item in g] == plan
+    for g in groups:
+        keys = {_group_key(item) for item in g}
+        assert len(keys) == 1 and (None not in keys or len(g) == 1)
+    # a run of one key is never split
+    for a, b in zip(groups, groups[1:]):
+        assert _group_key(a[-1]) is None or _group_key(a[-1]) != _group_key(b[0])
 
 
 def test_source_groups_match_the_sources_checks_read(monkeypatch):
     # every default item runs, on small sources, with _source recording the
-    # (kind, p, wall) it is asked for: a source-reading check missing from
-    # _source_of would be scheduled apart from the other readers of its source
+    # (kind, p, wall) it is asked for: an item without wall reads none, and
+    # a source read outside the group of its p and wall would be computed
+    # by two workers
     reads = []
     real = stats_verify._source
 
@@ -601,7 +631,7 @@ def test_source_groups_match_the_sources_checks_read(monkeypatch):
         for item in group:
             reads.append(set())
             stats_verify._run_plan_item(item, 77)
-            if stats_verify._source_of(item) is None:
+            if "wall" not in item.get("params", {}):
                 assert reads[-1] == set(), item
             read_by_group[-1] |= reads[-1]
     for a, b in combinations(read_by_group, 2):
@@ -650,8 +680,9 @@ def test_lattice_sources_stop_at_their_last_read(monkeypatch):
     monkeypatch.setattr(stats_verify, "sample_marginal_batch", counting_batch)
     monkeypatch.setattr(stats_verify, "_SOURCE_REPLICAS", 12)
     monkeypatch.setattr(stats_verify, "_SOURCES", {})
+    lattice = {"marginal_ks", "norm_law_discrete", "symmetric_poly_mc"}
     plan = [item for item in stats_verify.DEFAULT_PLAN
-            if (stats_verify._source_of(item) or (None,))[0] == "discrete"]
+            if item["check"] in lattice or item["params"].get("source") == "discrete_walk"]
     run_suite(plan=plan)
     assert sorted(calls) == [(p, wall) for p in (1, 2, 3) for wall in (False, True)]
     for (p, wall), spans in calls.items():
